@@ -41,6 +41,7 @@ from .kaleidoscope import (
     normalization_constants,
     raw_state_norm_sq_closed,
     roots_lemma_sum,
+    rotated_coherent_states,
 )
 from .modexp import (
     ModExpSpec,
@@ -78,6 +79,7 @@ __all__ = [
     "normalization_constants",
     "raw_state_norm_sq_closed",
     "roots_lemma_sum",
+    "rotated_coherent_states",
     "clock_matrix",
     "shift_matrix",
     "unitarity_residual",

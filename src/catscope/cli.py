@@ -20,10 +20,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fock import coherent_overlap_closed, coherent_state, inner_product, truncation_dim
+from .fock import coherent_overlap_closed, truncation_dim
 from .gates import (clock_matrix, shift_matrix, unitarity_residual,
-                    verify_clock_shift_decomposition, weyl_commutation)
-from .kaleidoscope import dft_matrix, gram, kaleidoscope_basis, roots_lemma_sum
+                    verify_clock_shift_decomposition, weyl_commutation,
+                    weyl_phase_root_residual)
+from .kaleidoscope import (dft_matrix, gram, kaleidoscope_basis,
+                           roots_lemma_sum, rotated_coherent_states)
 from .modexp import ModExpSpec, modexp_roots, modexp_series
 
 GATES_TOLERANCE = 1e-12
@@ -219,7 +221,7 @@ def cmd_gates(n: int):
         "decomposition_residual": verify_clock_shift_decomposition(n),
         "weyl_phase": _c(phase),
         "weyl_residual": weyl_residual,
-        "weyl_root_residual": abs(phase ** n - 1.0),
+        "weyl_root_residual": weyl_phase_root_residual(n),
     }
     residuals = [payload["unitarity_dft"], payload["unitarity_clock"],
                  payload["unitarity_shift"], payload["decomposition_residual"],
@@ -230,16 +232,17 @@ def cmd_gates(n: int):
 
 
 def cmd_overlap(n: int, alpha: complex, eps: float):
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     dim = truncation_dim(alpha, eps)
-    rotated = [coherent_state(np.exp(2j * np.pi * j / n) * alpha, dim)
-               for j in range(n)]
-    closed = [[coherent_overlap_closed(np.exp(2j * np.pi * k / n) * alpha,
-                                       np.exp(2j * np.pi * l / n) * alpha)
-               for l in range(n)] for k in range(n)]
-    fock = [[inner_product(rotated[k], rotated[l]) for l in range(n)]
-            for k in range(n)]
-    max_diff = max(abs(closed[k][l] - fock[k][l])
-                   for k in range(n) for l in range(n))
+    rotated = rotated_coherent_states(n, alpha, dim)
+    fock = rotated.conj() @ rotated.T
+    # <w2^k alpha|w2^l alpha> depends only on (l - k) mod n: a circulant table
+    row = np.array([coherent_overlap_closed(alpha, np.exp(2j * np.pi * d / n) * alpha)
+                    for d in range(n)])
+    steps = np.arange(n)
+    closed = row[(steps[None, :] - steps[:, None]) % n]
+    max_diff = float(np.max(np.abs(closed - fock)))
     payload = {
         "dim": dim,
         "closed_form": [[_c(v) for v in row] for row in closed],
@@ -327,8 +330,12 @@ def main(argv=None) -> int:
         text = _render_csv(args.command, record["payload"], record["params"])
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

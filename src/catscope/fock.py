@@ -157,19 +157,19 @@ def truncation_dim(alpha: complex, eps: float) -> int:
     if lam > _MAX_ABS_ALPHA_SQ:
         raise ValueError(f"|alpha|^2 = {lam:g} too large for double precision")
 
-    # Poisson weights p_m = exp(-lam) lam^m / m!, accumulated until they are
-    # negligible relative to eps, then suffix-summed smallest-first so the
-    # tiny tails are not lost to cancellation.
-    weights = []
-    p = math.exp(-lam)
-    m = 0
-    while m <= lam or p >= eps * 1e-8:
-        weights.append(p)
-        m += 1
-        p *= lam / m
-    tail = 0.0
-    for d in range(len(weights) - 1, -1, -1):
-        tail += weights[d]
-        if tail >= eps:
-            return d + 1
-    return 1
+    # Poisson weights p_m = exp(-lam) lam^m / m!, kept while m <= lam or
+    # p_m >= eps * 1e-8, then suffix-summed smallest-first so the tiny tails
+    # are not lost to cancellation.  Since m! >= (m/e)^m, every m >= e^2 lam
+    # has p_m <= exp(-m), so the stopping index lies below count.
+    threshold = eps * 1e-8
+    count = int(max(math.e ** 2 * lam, -math.log(max(threshold, 5e-324)))) + 2
+    factors = np.empty(count)
+    factors[0] = math.exp(-lam)
+    factors[1:] = lam / np.arange(1, count)
+    weights = np.cumprod(factors)
+    first = int(lam) + 1  # the lowest level above lam
+    below = np.flatnonzero(weights[first:] < threshold)
+    stop = first + below[0] if below.size else count
+    tails = np.cumsum(weights[stop - 1::-1])
+    # every level d whose tail weight reaches eps lies below the answer
+    return max(int(np.count_nonzero(tails >= eps)), 1)

@@ -34,10 +34,8 @@ def shift_matrix(n: int) -> np.ndarray:
     """Cyclic shift permutation: column j has its 1 in row (j+1) mod n."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    s = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        s[(j + 1) % n, j] = 1.0
-    return s
+    # row i is the unit row e_(i-1); index -1 wraps row 0 round to e_(n-1)
+    return np.eye(n, dtype=complex)[np.arange(-1, n - 1)]
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:

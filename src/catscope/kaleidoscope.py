@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import coherent_state, inner_product, truncation_dim
+from .fock import coherent_state, truncation_dim
 from .modexp import ModExpSpec, modexp_all, modexp_series
 
 
@@ -94,22 +94,35 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * exponents / n) / math.sqrt(n)
 
 
+def rotated_coherent_states(n: int, alpha: complex, dim: int) -> np.ndarray:
+    """The n rotated coherent states ``|w2^j alpha>``, one per row.
+
+    Rotating alpha by ``w2^j`` multiplies Fock amplitude m by ``w2^(j*m)``,
+    so every row is the one coherent state ``|alpha>`` times exact n-th roots
+    of unity (exponents reduced mod n before exponentiation).
+
+    Returns:
+        (n, dim) complex array; row j is ``|w2^j alpha>`` on ``dim`` levels.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    exponents = np.outer(np.arange(n), np.arange(dim)) % n
+    return coherent_state(alpha, dim) * roots[exponents]
+
+
 def cat_states_raw(n: int, alpha: complex, dim: int) -> np.ndarray:
     """Unnormalized cat states: DFT rows applied to the rotated coherent states.
 
     The k-th row is ``(1/sqrt(n)) * sum_j w^(j*k) |w2^j alpha>`` on ``dim``
-    Fock levels.  Its squared norm is ``n * exp(-|alpha|^2) * f_k(|alpha|^2)``
-    and its support lies on Fock levels congruent to k mod n.
+    Fock levels: the DFT gate applied to :func:`rotated_coherent_states`.
+    Its squared norm is ``n * exp(-|alpha|^2) * f_k(|alpha|^2)`` and its
+    support lies on Fock levels congruent to k mod n.
 
     Returns:
         (n, dim) complex array, one raw state per row.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rotated = np.empty((n, dim), dtype=complex)
-    for j in range(n):
-        rotated[j] = coherent_state(cmath.exp(2j * cmath.pi * j / n) * alpha, dim)
-    return dft_matrix(n) @ rotated
+    return dft_matrix(n) @ rotated_coherent_states(n, alpha, dim)
 
 
 def normalization_constants(n: int, alpha: complex) -> np.ndarray:
@@ -135,8 +148,7 @@ def normalization_constants(n: int, alpha: complex) -> np.ndarray:
         raise DegenerateAlpha(
             "DegenerateAlpha: f_k(0) = 0 for k >= 1, the cat states with "
             "nonzero residue are undefined at alpha = 0")
-    values = np.array([v.real if isinstance(v, complex) else v
-                       for v in modexp_all(n, lam)])
+    values = modexp_all(n, lam)
     small = values < 1e-12 * math.exp(lam)
     if small.any():
         worst = int(np.argmax(small))
@@ -153,17 +165,18 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     The shared truncation dimension comes from ``truncation_dim(alpha, eps)``
     (rotations preserve ``|alpha|``), padded to at least n so every state
     keeps its leading Fock level.  Each state equals the unit-norm scaling of
-    the corresponding :func:`cat_states_raw` row, but is assembled by masking
-    the coherent amplitudes to the state's congruence class: summing the
-    rotated copies in floating point leaves cancellation residue on the
-    off-class levels, and normalizing an ill-conditioned state (tiny
+    the corresponding :func:`cat_states_raw` row, but the n states are built
+    in one step as the rows of an (n, dim) array: row k masks the coherent
+    amplitudes to the congruence class k mod n.  Summing the rotated copies
+    in floating point instead leaves cancellation residue on the off-class
+    levels, and normalizing an ill-conditioned state (tiny
     ``f_k(|alpha|^2)``) would amplify that residue past the orthogonality
     budget.  The masked form keeps off-class amplitudes exactly zero, so the
     Gram matrix deviates from the identity by far less than ``10 * eps`` even
     in the regimes that trigger :class:`ConditioningWarning`.
 
-    Each state's global phase is fixed so its first Fock amplitude above
-    1e-13 is real positive.
+    The rows are then normalized, and each row's global phase is fixed so
+    its first Fock amplitude above 1e-13 is real positive.
 
     Raises:
         DegenerateAlpha: if ``alpha = 0`` with ``n >= 2``.
@@ -175,12 +188,10 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     dim = max(truncation_dim(alpha, eps), n)
     amps = coherent_state(alpha, dim)
     classes = np.arange(dim) % n
-    states = np.zeros((n, dim), dtype=complex)
-    for k in range(n):
-        state = np.where(classes == k, amps, 0.0)
-        state /= np.linalg.norm(state)
-        lead = np.argmax(np.abs(state) > _SUPPORT_TOL)
-        states[k] = state / (state[lead] / abs(state[lead]))
+    states = np.where(classes == np.arange(n)[:, None], amps, 0.0)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    lead = states[np.arange(n), np.argmax(np.abs(states) > _SUPPORT_TOL, axis=1)]
+    states /= (lead / np.abs(lead))[:, None]
     states.flags.writeable = False
     constants.flags.writeable = False
     return KaleidoscopeBasis(n=n, alpha=alpha, dim=dim, states=states,
@@ -198,12 +209,8 @@ def gram(states) -> GramReport:
         matrix = matrix[None, :]
     if matrix.size == 0:
         raise ValueError("need at least one state")
-    count = matrix.shape[0]
-    g = np.empty((count, count), dtype=complex)
-    for a in range(count):
-        for b in range(count):
-            g[a, b] = inner_product(matrix[a], matrix[b])
-    deviation = float(np.max(np.abs(g - np.eye(count))))
+    g = matrix.conj() @ matrix.T
+    deviation = float(np.max(np.abs(g - np.eye(matrix.shape[0]))))
     return GramReport(gram=g, max_deviation=deviation)
 
 

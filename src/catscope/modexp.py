@@ -9,10 +9,17 @@ collects every n-th term of the exponential series, so the family partitions
 ``sinh``.  Each f_s is entire, and the module evaluates it along two
 independent routes:
 
-* :func:`modexp_series` sums the defining series directly;
+* :func:`modexp_series` sums the defining series for one residue;
 * :func:`modexp_roots` averages plain exponentials over the n-th roots of
   unity, ``f_s(x) = (1/n) * sum_j conj(w2)^(j*s) * exp(w2^j * x)`` with
   ``w2 = exp(2*pi*1j/n)``.
+
+:func:`modexp_all` is the one-pass series kernel for the whole family: one
+cumulative product of ``x/m`` gives every term ``x^m/m!``, and the terms are
+summed per residue class ``m mod n``.  Each residue stops where
+:func:`modexp_series` would, once its next term is below ``1e-18`` of its
+partial sum.  The kernel never takes the roots-of-unity route, which cancels
+away every digit of a small f_s.
 
 Differentiating the series termwise shifts the residue down by one
 (cyclically), so the s-th function is reproduced after n derivatives; see
@@ -29,6 +36,8 @@ import cmath
 import math
 
 from dataclasses import dataclass
+
+import numpy as np
 
 # Relative term-size threshold at which the series has converged, with an
 # absolute floor so x = 0 terminates on its exact zero terms.
@@ -110,14 +119,50 @@ def modexp_roots(spec: ModExpSpec, x: complex) -> complex:
     return result
 
 
-def modexp_all(n: int, x: complex) -> list[complex]:
-    """All n component functions (f_0(x), ..., f_{n-1}(x)) via the series.
+def modexp_all(n: int, x: complex) -> np.ndarray:
+    """All n component functions (f_0(x), ..., f_{n-1}(x)) in one pass.
 
-    The components partition the exponential series, so their sum is exp(x).
+    The terms ``x^m/m!`` come from one cumulative product of ``x/m`` and are
+    laid out n to a row, so column s holds residue class s; a cumulative sum
+    down the columns gives every partial sum of every f_s.  Residue s has
+    converged after row k once its next term drops below ``1e-18`` of its
+    partial sum (or below the ``1e-300`` floor), the same rule as
+    :func:`modexp_series`, and contributes its partial sum at its own first
+    such row.  Rows are doubled until every residue has converged.
+
+    Returns:
+        Array of the n values, float for real ``x`` and complex for complex
+        ``x``.  The components partition the exponential series, so their
+        sum is exp(x).
+
+    Raises:
+        SeriesCapError: if the terms overflow double precision or some
+            residue has not converged within the hard term cap (only
+            reachable for pathologically large ``|x|``).
     """
     if n < 1:
         raise ValueError(f"modulus n must be >= 1, got {n}")
-    return [modexp_series(ModExpSpec(n, s), x) for s in range(n)]
+    x = _check_finite(x)
+    dtype = complex if isinstance(x, complex) else float
+    rows = min(2 + int(abs(x) + 10.0 * math.sqrt(abs(x)) + 40.0) // n, _MAX_TERMS)
+    while True:
+        ratios = np.empty(n * rows, dtype=dtype)
+        ratios[0] = 1.0
+        ratios[1:] = x / np.arange(1, n * rows)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            terms = np.cumprod(ratios).reshape(rows, n)
+            partial = np.cumsum(terms, axis=0)
+        # converged[k, s]: the term after row k is negligible next to the
+        # partial sum through row k
+        converged = np.abs(terms[1:]) < np.maximum(
+            _REL_TOL * np.abs(partial[:-1]), _ABS_FLOOR)
+        if converged.any(axis=0).all():
+            return partial[np.argmax(converged, axis=0), np.arange(n)]
+        if rows == _MAX_TERMS or not np.isfinite(partial[-1]).all():
+            raise SeriesCapError(
+                f"mod-{n} exponentials did not converge within {_MAX_TERMS} "
+                f"terms per residue at x={x!r}")
+        rows = min(2 * rows, _MAX_TERMS)
 
 
 def derivative_residue(spec: ModExpSpec, order: int = 1) -> ModExpSpec:

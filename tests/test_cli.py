@@ -183,6 +183,21 @@ def test_overlap_discrepancy_small_within_radius_two(alpha):
     assert record["payload"]["max_abs_difference"] < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_overlap_closed_form_is_circulant(n):
+    record, code = cli.cmd_overlap(n, 0.7 + 0.2j, 1e-14)
+    assert code == 0
+    payload = record["payload"]
+    closed, fock = payload["closed_form"], payload["fock"]
+    assert len(closed) == len(fock) == n
+    for k in range(n):
+        for l in range(n):
+            assert closed[k][l] == closed[0][(l - k) % n]
+            assert math.hypot(closed[k][l]["re"] - fock[k][l]["re"],
+                              closed[k][l]["im"] - fock[k][l]["im"]) < 1e-12
+    assert payload["max_abs_difference"] < 1e-12
+
+
 # ---------------------------------------------------------------- CSV format
 
 
@@ -240,6 +255,16 @@ def test_out_file_gets_payload_and_stdout_stays_empty(tmp_path):
     assert record["payload"]["matches_delta"] is True
 
 
+def test_unwritable_out_file_exits_2(tmp_path):
+    out = tmp_path / "missing" / "record.json"
+    proc = run_cli("lemma", "--n", "3", "--m", "1", "--s", "0", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()
+
+
 def test_eps_flag_controls_truncation():
     loose = json.loads(run_cli("basis", "--n", "2", "--alpha", "1+0i",
                                "--eps", "1e-6").stdout)
@@ -256,6 +281,10 @@ def test_usage_errors_exit_2():
     assert run_cli("basis", "--n", "3", "--alpha", "nope").returncode == 2
     assert run_cli("nosuchcommand").returncode == 2
     assert run_cli().returncode == 2
+    for n in ("0", "-2"):
+        proc = run_cli("overlap", "--n", n, "--alpha", "1+0i")
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: n must be >= 1, got {n}\n"
 
 
 def test_version_flag():

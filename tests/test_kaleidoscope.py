@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,17 @@ def test_raw_norms_closed_identity_on_grid(n, alpha):
     for k in range(n):
         assert np.vdot(raw[k], raw[k]).real == pytest.approx(
             raw_state_norm_sq_closed(n, alpha, k), abs=1e-11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+@pytest.mark.parametrize("alpha", [1.0, 1 + 1j, 2.5j, -3.1 + 0.4j])
+def test_raw_matches_per_copy_construction(n, alpha):
+    # one coherent-state recurrence per rotated copy, then the DFT
+    dim = max(truncation_dim(alpha, 1e-14), n)
+    rotated = np.array([coherent_state(cmath.exp(2j * cmath.pi * j / n) * alpha, dim)
+                        for j in range(n)])
+    np.testing.assert_allclose(cat_states_raw(n, alpha, dim), dft_matrix(n) @ rotated,
+                               rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -326,6 +338,31 @@ def test_gram_is_hermitian():
     states = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
     report = gram(states)
     np.testing.assert_array_equal(report.gram, report.gram.conj().T)
+
+
+def pairwise_vdot_gram(states):
+    return np.array([[np.vdot(u, v) for v in states] for u in states])
+
+
+@pytest.mark.parametrize("count,dim", [(1, 5), (4, 9), (17, 3), (64, 64)])
+def test_gram_matches_pairwise_vdot_on_random_states(count, dim):
+    rng = np.random.default_rng(count * dim)
+    states = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    report = gram(states)
+    expected = pairwise_vdot_gram(states)
+    np.testing.assert_allclose(report.gram, expected, rtol=0, atol=1e-15 * dim)
+    assert report.max_deviation == pytest.approx(
+        np.max(np.abs(expected - np.eye(count))), abs=1e-15 * dim)
+
+
+@pytest.mark.parametrize("n", [2, 8, 32, 64])
+def test_gram_matches_pairwise_vdot_on_basis(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        basis = kaleidoscope_basis(n, 3.0 * cmath.exp(0.4j), 1e-14)
+    np.testing.assert_allclose(gram(basis.states).gram, pairwise_vdot_gram(basis.states),
+                               rtol=0, atol=1e-15 * basis.dim)
 
 
 def test_gram_rejects_empty_and_mismatched():

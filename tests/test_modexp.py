@@ -100,6 +100,38 @@ def test_components_partition_the_exponential(n, x):
     assert abs(total - cmath.exp(x)) < 1e-12 * math.exp(abs(x))
 
 
+def exact_mod_exponentials(n, x):
+    """Every f_s(x), s < n, for real x > 0: x^m/m! summed at 40 digits."""
+    x = mp.mpf(x)
+    values = [mp.mpf(0)] * n
+    term, m = mp.mpf(1), 0
+    # terms decrease past m = x, so each later one is even more negligible
+    while m < n or m <= x or term > mp.mpf(10) ** -40 * min(values):
+        values[m % n] += term
+        m += 1
+        term = term * x / m
+    return values
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
+@pytest.mark.parametrize("x", [0, 0.5, -3, 2 + 1j, -4.5j, 25 + 25j, 300])
+def test_one_pass_kernel_matches_series(n, x):
+    values = modexp_all(n, x)
+    assert values.shape == (n,)
+    assert values.dtype == (complex if isinstance(x, complex) else float)
+    for s in range(n):
+        series = modexp_series(ModExpSpec(n, s), x)
+        assert abs(values[s] - series) < 1e-14 * math.exp(abs(x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
+@pytest.mark.parametrize("x", [0.01, 0.3, 1.0, 7.5, 16.0, 49.0, 120.0, 700.0])
+def test_one_pass_kernel_matches_mpmath(n, x):
+    values = modexp_all(n, x)
+    for s, exact in enumerate(exact_mod_exponentials(n, x)):
+        assert abs(values[s] - exact) <= 1e-14 * exact
+
+
 def test_positivity_for_positive_real_argument():
     for n in (1, 2, 3, 6):
         for x in (0.1, 1.0, 4.0, 8.5):
@@ -182,3 +214,5 @@ def test_non_finite_argument_rejected():
 def test_series_cap_is_an_explicit_error():
     with pytest.raises(SeriesCapError):
         modexp_series(ModExpSpec(2, 0), 1e8)
+    with pytest.raises(SeriesCapError):
+        modexp_all(2, 1e8)
