@@ -1,9 +1,14 @@
 """Command-line front end: every library computation as a scriptable command.
 
-Subcommands: basis, modexp, lemma, gates, overlap.  Output goes to stdout
-(or the --out file) as JSON by default or CSV with --format csv; diagnostics
-go to stderr.  Serialization is deterministic: fixed key order, floats
-rendered with 17 significant digits so values round-trip exactly.
+Subcommands: basis, modexp, lemma, gates, overlap.  The ``COMMANDS`` table is
+the single description of each one (its options, whether it takes --eps or
+bounds n, its CSV header and rows); the parser, the dispatch to ``cmd_<name>``,
+the output record and the CSV rendering are all built from it.
+
+Output goes to stdout (or the --out file) as JSON by default or CSV with
+--format csv; diagnostics, library warnings included, go to stderr.
+Serialization is deterministic: fixed key order, floats rendered with 17
+significant digits so values round-trip exactly.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
@@ -11,11 +16,12 @@ Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import re
 import sys
+import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +36,8 @@ from .modexp import ModExpSpec, modexp_roots, modexp_series
 
 GATES_TOLERANCE = 1e-12
 LEMMA_TOLERANCE = 1e-12
+# basis, overlap and gates hold n x max(n, dim) complex arrays and an n^2 payload
+MAX_DENSE_N = 1024
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _REAL_RE = re.compile(rf"^[+-]?{_NUM}$")
@@ -104,77 +112,47 @@ def _c(value: complex) -> dict:
     return {"re": value.real, "im": value.imag}
 
 
-def make_record(command: str, params: dict, payload: dict) -> dict:
-    return {"command": command, "params": params, "payload": payload,
-            "tool_version": __version__}
+# ---------------------------------------------------------------------------
+# CSV rendering: a fixed header per command, then its rows
+
+
+def _one_row(params: dict, payload: dict):
+    """The params, then the payload values; a complex value gives two columns."""
+    row = []
+    for value in (*params.values(), *payload.values()):
+        if isinstance(value, dict):  # a complex value, as built by _c
+            row += _format_float(value["re"]), _format_float(value["im"])
+        elif isinstance(value, float):
+            row.append(_format_float(value))
+        else:  # an int, or a bool rendered as true/false
+            row.append(str(value).lower())
+    yield tuple(row)
+
+
+def _basis_rows(params: dict, payload: dict):
+    for k, state in enumerate(payload["states"]):
+        for level, amp in enumerate(state):
+            yield k, level, _format_float(amp["re"]), _format_float(amp["im"])
+
+
+def _overlap_rows(params: dict, payload: dict):
+    for k, (closed_row, fock_row) in enumerate(zip(payload["closed_form"],
+                                                   payload["fock"])):
+        for l, (closed, fock) in enumerate(zip(closed_row, fock_row)):
+            diff = math.hypot(closed["re"] - fock["re"], closed["im"] - fock["im"])
+            yield (k, l, _format_float(closed["re"]), _format_float(closed["im"]),
+                   _format_float(fock["re"]), _format_float(fock["im"]),
+                   _format_float(diff))
+
+
+def _render_csv(header: str, rows) -> str:
+    lines = [header]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# CSV rendering (fixed header per command)
-
-
-def _csv_join(fields) -> str:
-    return ",".join(str(f) for f in fields)
-
-
-def _render_csv(command: str, payload: dict, params: dict) -> str:
-    buf = io.StringIO()
-    if command == "basis":
-        buf.write("state,level,re,im\n")
-        for k, state in enumerate(payload["states"]):
-            for level, amp in enumerate(state):
-                buf.write(_csv_join([k, level, _format_float(amp["re"]),
-                                     _format_float(amp["im"])]) + "\n")
-    elif command == "modexp":
-        buf.write("n,s,x_re,x_im,series_re,series_im,roots_re,roots_im,abs_difference\n")
-        buf.write(_csv_join([params["n"], params["s"],
-                             _format_float(params["x"]["re"]),
-                             _format_float(params["x"]["im"]),
-                             _format_float(payload["series"]["re"]),
-                             _format_float(payload["series"]["im"]),
-                             _format_float(payload["roots"]["re"]),
-                             _format_float(payload["roots"]["im"]),
-                             _format_float(payload["abs_difference"])]) + "\n")
-    elif command == "lemma":
-        buf.write("n,m,s,sum_re,sum_im,expected,matches_delta\n")
-        buf.write(_csv_join([params["n"], params["m"], params["s"],
-                             _format_float(payload["sum"]["re"]),
-                             _format_float(payload["sum"]["im"]),
-                             _format_float(payload["expected"]),
-                             str(payload["matches_delta"]).lower()]) + "\n")
-    elif command == "gates":
-        buf.write("n,unitarity_dft,unitarity_clock,unitarity_shift,"
-                  "decomposition_residual,weyl_phase_re,weyl_phase_im,"
-                  "weyl_residual,weyl_root_residual\n")
-        buf.write(_csv_join([params["n"],
-                             _format_float(payload["unitarity_dft"]),
-                             _format_float(payload["unitarity_clock"]),
-                             _format_float(payload["unitarity_shift"]),
-                             _format_float(payload["decomposition_residual"]),
-                             _format_float(payload["weyl_phase"]["re"]),
-                             _format_float(payload["weyl_phase"]["im"]),
-                             _format_float(payload["weyl_residual"]),
-                             _format_float(payload["weyl_root_residual"])]) + "\n")
-    elif command == "overlap":
-        buf.write("k,l,closed_re,closed_im,fock_re,fock_im,abs_difference\n")
-        n = len(payload["closed_form"])
-        for k in range(n):
-            for l in range(n):
-                closed = payload["closed_form"][k][l]
-                fock = payload["fock"][k][l]
-                diff = math.hypot(closed["re"] - fock["re"], closed["im"] - fock["im"])
-                buf.write(_csv_join([k, l, _format_float(closed["re"]),
-                                     _format_float(closed["im"]),
-                                     _format_float(fock["re"]),
-                                     _format_float(fock["im"]),
-                                     _format_float(diff)]) + "\n")
-    else:  # pragma: no cover - guarded by argparse choices
-        raise ValueError(f"unknown command {command!r}")
-    return buf.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# Command implementations: each returns (record, exit_code)
+# Command implementations: each returns (payload, exit_code)
 
 
 def cmd_basis(n: int, alpha: complex, eps: float):
@@ -186,8 +164,7 @@ def cmd_basis(n: int, alpha: complex, eps: float):
         "norm_constants": [float(c) for c in basis.norm_constants],
         "gram_max_deviation": report.max_deviation,
     }
-    params = {"n": n, "alpha": _c(alpha), "eps": eps}
-    return make_record("basis", params, payload), 0
+    return payload, 0
 
 
 def cmd_modexp(n: int, s: int, x: complex):
@@ -199,8 +176,7 @@ def cmd_modexp(n: int, s: int, x: complex):
         "roots": _c(roots),
         "abs_difference": abs(series - roots),
     }
-    params = {"n": n, "s": s, "x": _c(x)}
-    return make_record("modexp", params, payload), 0
+    return payload, 0
 
 
 def cmd_lemma(n: int, m: int, s: int):
@@ -208,8 +184,7 @@ def cmd_lemma(n: int, m: int, s: int):
     expected = float(n) if (m - s) % n == 0 else 0.0
     matches = abs(value - expected) < LEMMA_TOLERANCE
     payload = {"sum": _c(value), "expected": expected, "matches_delta": bool(matches)}
-    params = {"n": n, "m": m, "s": s}
-    return make_record("lemma", params, payload), 0
+    return payload, 0
 
 
 def cmd_gates(n: int):
@@ -227,8 +202,7 @@ def cmd_gates(n: int):
                  payload["unitarity_shift"], payload["decomposition_residual"],
                  payload["weyl_residual"], payload["weyl_root_residual"]]
     code = 0 if all(r < GATES_TOLERANCE for r in residuals) else 1
-    params = {"n": n}
-    return make_record("gates", params, payload), code
+    return payload, code
 
 
 def cmd_overlap(n: int, alpha: complex, eps: float):
@@ -249,12 +223,48 @@ def cmd_overlap(n: int, alpha: complex, eps: float):
         "fock": [[_c(v) for v in row] for row in fock],
         "max_abs_difference": max_diff,
     }
-    params = {"n": n, "alpha": _c(alpha), "eps": eps}
-    return make_record("overlap", params, payload), 0
+    return payload, 0
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing and dispatch
+# The command table, and the parser and dispatch built from it
+
+
+class Command(NamedTuple):
+    help: str
+    params: tuple  # (name, int or complex, help) per required --name option
+    eps: bool  # takes --eps, the Poisson tail budget of the Fock truncation
+    dense: bool  # allocates n x n arrays, so n is bounded by MAX_DENSE_N
+    csv_header: str
+    csv_rows: Callable  # (params, payload) -> one tuple per CSV row
+
+
+_N = ("n", int, None)
+_ALPHA = ("alpha", complex, "complex, e.g. 1+0i")
+
+COMMANDS = {
+    "basis": Command(
+        "build the n orthonormal cat states", (_N, _ALPHA), True, True,
+        "state,level,re,im", _basis_rows),
+    "modexp": Command(
+        "evaluate f_s(x) mod n by series and by roots of unity",
+        (_N, ("s", int, None), ("x", complex, "complex or real argument")),
+        False, False,
+        "n,s,x_re,x_im,series_re,series_im,roots_re,roots_im,abs_difference",
+        _one_row),
+    "lemma": Command(
+        "direct root-of-unity sum and its n*delta verdict",
+        (_N, ("m", int, None), ("s", int, None)), False, False,
+        "n,m,s,sum_re,sum_im,expected,matches_delta", _one_row),
+    "gates": Command(
+        "clock/shift unitarity, Fourier decomposition and Weyl commutation "
+        "residuals", (_N,), False, True,
+        "n,unitarity_dft,unitarity_clock,unitarity_shift,decomposition_residual,"
+        "weyl_phase_re,weyl_phase_im,weyl_residual,weyl_root_residual", _one_row),
+    "overlap": Command(
+        "rotated-state overlap table, closed form vs Fock", (_N, _ALPHA), True, True,
+        "k,l,closed_re,closed_im,fock_re,fock_im,abs_difference", _overlap_rows),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -264,70 +274,57 @@ def _build_parser() -> argparse.ArgumentParser:
                     "states, with mod-n exponential functions and clock/shift "
                     "gate checks.")
     parser.add_argument("--version", action="version", version=__version__)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format (default: json)")
-    common.add_argument("--eps", type=float, default=1e-14,
-                        help="Poisson tail budget for Fock truncation "
-                             "(default: 1e-14)")
-    common.add_argument("--out", metavar="FILE",
-                        help="write the payload to FILE instead of stdout")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("basis", parents=[common],
-                       help="build the n orthonormal cat states")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="complex, e.g. 1+0i")
-
-    p = sub.add_parser("modexp", parents=[common],
-                       help="evaluate f_s(x) mod n by series and by roots of unity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--x", required=True, help="complex or real argument")
-
-    p = sub.add_parser("lemma", parents=[common],
-                       help="direct root-of-unity sum and its n*delta verdict")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-
-    p = sub.add_parser("gates", parents=[common],
-                       help="clock/shift unitarity, Fourier decomposition and "
-                            "Weyl commutation residuals")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("overlap", parents=[common],
-                       help="rotated-state overlap table, closed form vs Fock")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="complex, e.g. 1+0i")
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="output format (default: json)")
+        if command.eps:
+            p.add_argument("--eps", type=float, default=1e-14,
+                           help="Poisson tail budget for Fock truncation "
+                                "(default: 1e-14)")
+        p.add_argument("--out", metavar="FILE",
+                       help="write the payload to FILE instead of stdout")
+        for param, kind, help_text in command.params:
+            p.add_argument(f"--{param}", type=int if kind is int else str,
+                           required=True, help=help_text)
     return parser
 
 
+_PARSER = _build_parser()
+
+
+def _format_warning(message, category, *_) -> str:
+    return f"warning: {category.__name__}: {message}\n"  # no source line
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    command = COMMANDS[args.command]
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
-        if args.command == "basis":
-            record, code = cmd_basis(args.n, parse_complex(args.alpha), args.eps)
-        elif args.command == "modexp":
-            record, code = cmd_modexp(args.n, args.s, parse_complex(args.x))
-        elif args.command == "lemma":
-            record, code = cmd_lemma(args.n, args.m, args.s)
-        elif args.command == "gates":
-            record, code = cmd_gates(args.n)
-        else:
-            record, code = cmd_overlap(args.n, parse_complex(args.alpha), args.eps)
+        values = {name: parse_complex(getattr(args, name)) if kind is complex
+                  else getattr(args, name) for name, kind, _ in command.params}
+        if command.dense and values["n"] > MAX_DENSE_N:
+            raise ValueError(f"n must be <= {MAX_DENSE_N}, got {values['n']}")
+        if command.eps:
+            values["eps"] = args.eps
+        # by module attribute, so a replaced cmd_* is the one called
+        payload, code = globals()[f"cmd_{args.command}"](**values)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
+    params = {name: _c(value) if isinstance(value, complex) else value
+              for name, value in values.items()}
     if args.format == "json":
-        text = dumps_record(record) + "\n"
+        text = dumps_record({"command": args.command, "params": params,
+                             "payload": payload, "tool_version": __version__}) + "\n"
     else:
-        text = _render_csv(args.command, record["payload"], record["params"])
+        text = _render_csv(command.csv_header, command.csv_rows(params, payload))
 
     if args.out:
         try:

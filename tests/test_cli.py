@@ -55,8 +55,8 @@ def test_parse_complex_rejects(text):
 
 
 def test_dumps_round_trips_byte_identically():
-    record, _ = cli.cmd_basis(3, 1 + 0j, 1e-14)
-    text = cli.dumps_record(record)
+    payload, _ = cli.cmd_basis(3, 1 + 0j, 1e-14)
+    text = cli.dumps_record(payload)
     assert cli.dumps_record(json.loads(text)) == text
 
 
@@ -156,6 +156,23 @@ def test_gates_residuals_below_tolerance(n):
         assert record["payload"][key] < 1e-12
 
 
+def test_main_dispatches_through_module_attribute(monkeypatch, capsys):
+    calls = []
+
+    def fake_lemma(n, m, s):
+        calls.append((n, m, s))
+        return {"sum": {"re": 0.5, "im": 0.0}, "expected": 0.0,
+                "matches_delta": False}, 0
+
+    monkeypatch.setattr(cli, "cmd_lemma", fake_lemma)
+    code = cli.main(["lemma", "--n", "4", "--m", "1", "--s", "0"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert calls == [(4, 1, 0)]
+    assert record["params"] == {"n": 4, "m": 1, "s": 0}
+    assert record["payload"]["sum"] == {"re": 0.5, "im": 0}
+
+
 def test_gates_exit_1_on_tolerance_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_clock_shift_decomposition", lambda n: 1.0)
     code = cli.main(["gates", "--n", "3"])
@@ -185,9 +202,8 @@ def test_overlap_discrepancy_small_within_radius_two(alpha):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_overlap_closed_form_is_circulant(n):
-    record, code = cli.cmd_overlap(n, 0.7 + 0.2j, 1e-14)
+    payload, code = cli.cmd_overlap(n, 0.7 + 0.2j, 1e-14)
     assert code == 0
-    payload = record["payload"]
     closed, fock = payload["closed_form"], payload["fock"]
     assert len(closed) == len(fock) == n
     for k in range(n):
@@ -219,6 +235,19 @@ def test_csv_headers_fixed_per_command():
         proc = run_cli(*args, "--format", "csv")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("name,args", [
+    ("basis_n3_alpha1.csv", ("basis", "--n", "3", "--alpha", "1+0i")),
+    ("overlap_n3_alpha0.7+0.2i.csv", ("overlap", "--n", "3", "--alpha", "0.7+0.2i")),
+    ("modexp_n3_s1_x2+1i.csv", ("modexp", "--n", "3", "--s", "1", "--x", "2+1i")),
+    ("lemma_n4_m1_s0.csv", ("lemma", "--n", "4", "--m", "1", "--s", "0")),
+    ("gates_n3.csv", ("gates", "--n", "3")),
+])
+def test_csv_matches_fixture_byte_for_byte(name, args):
+    proc = run_cli_bytes(*args, "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (FIXTURES / "csv" / name).read_bytes()
 
 
 def test_csv_basis_row_count():
@@ -281,10 +310,42 @@ def test_usage_errors_exit_2():
     assert run_cli("basis", "--n", "3", "--alpha", "nope").returncode == 2
     assert run_cli("nosuchcommand").returncode == 2
     assert run_cli().returncode == 2
+    assert run_cli("gates", "--n", "3", "--eps", "1e-6").returncode == 2
     for n in ("0", "-2"):
         proc = run_cli("overlap", "--n", n, "--alpha", "1+0i")
         assert proc.returncode == 2
         assert proc.stderr == f"error: n must be >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("basis", "--n", "1025", "--alpha", "1+0i"),
+    ("overlap", "--n", "1025", "--alpha", "1+0i"),
+    ("gates", "--n", "1025"),
+])
+def test_dense_commands_reject_n_above_bound(args, capsys):
+    assert cli.main(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n must be <= 1024, got 1025\n"
+
+
+@pytest.mark.parametrize("args", [
+    ("lemma", "--n", "1025", "--m", "1", "--s", "1"),
+    ("modexp", "--n", "1025", "--s", "0", "--x", "1"),
+])
+def test_linear_commands_take_n_above_dense_bound(args, capsys):
+    assert cli.main(list(args)) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_library_warning_is_one_stderr_line():
+    proc = run_cli("basis", "--n", "16", "--alpha", "0.2")
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: ConditioningWarning: f_7(|alpha|^2) = 3.251e-14 is below "
+        "1e-12 * exp(|alpha|^2); normalization constant 7 is ill-conditioned\n")
+    assert "kaleidoscope.py" not in proc.stderr
+    assert len(json.loads(proc.stdout)["payload"]["states"]) == 16
 
 
 def test_version_flag():
