@@ -8,7 +8,9 @@ the output record and the CSV rendering are all built from it.
 Output goes to stdout (or the --out file) as JSON by default or CSV with
 --format csv; diagnostics, library warnings included, go to stderr.
 Serialization is deterministic: fixed key order, floats rendered with 17
-significant digits so values round-trip exactly.
+significant digits (``.17g``) so values round-trip exactly.  The state and
+overlap arrays stay ndarrays in the payload and are rendered in bulk under the
+same contract, each distinct float formatted once.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
@@ -69,6 +71,20 @@ def _format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _g17(values) -> list:
+    """``"%.17g"`` of each float in ``values``, flattened in C order.
+
+    Each distinct bit pattern is formatted once (an overlap table has n
+    distinct closed-form values among n^2, a basis state mostly zeros).
+    Duplicates are found on the bits, not the values, so -0.0 and 0.0 keep
+    their own text.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.uint64)
+    unique, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(["%.17g" % v for v in unique.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def _to_json(value, out: list) -> None:
     if isinstance(value, bool):
         out.append("true" if value else "false")
@@ -94,6 +110,14 @@ def _to_json(value, out: list) -> None:
                 out.append(",")
             _to_json(item, out)
         out.append("]")
+    elif isinstance(value, np.ndarray):  # complex, 1-D or 2-D: {"re","im"} items
+        rows = np.atleast_2d(value)
+        width = rows.shape[1]
+        items = ['{"re":%s,"im":%s}' % pair
+                 for pair in zip(_g17(rows.real), _g17(rows.imag))]
+        text = ",".join(["[" + ",".join(items[i:i + width]) + "]"
+                         for i in range(0, len(items), width)])
+        out.append(text if value.ndim == 1 else "[" + text + "]")
     elif value is None:
         out.append("null")
     else:
@@ -113,7 +137,7 @@ def _c(value: complex) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# CSV rendering: a fixed header per command, then its rows
+# CSV rendering: a fixed header per command, then its rows, each a tuple of str
 
 
 def _one_row(params: dict, payload: dict):
@@ -129,26 +153,27 @@ def _one_row(params: dict, payload: dict):
     yield tuple(row)
 
 
+def _index_keys(rows: int, cols: int) -> list:
+    return [f"{i},{j}" for i in range(rows) for j in range(cols)]
+
+
 def _basis_rows(params: dict, payload: dict):
-    for k, state in enumerate(payload["states"]):
-        for level, amp in enumerate(state):
-            yield k, level, _format_float(amp["re"]), _format_float(amp["im"])
+    states = payload["states"]
+    return zip(_index_keys(*states.shape), _g17(states.real), _g17(states.imag))
 
 
 def _overlap_rows(params: dict, payload: dict):
-    for k, (closed_row, fock_row) in enumerate(zip(payload["closed_form"],
-                                                   payload["fock"])):
-        for l, (closed, fock) in enumerate(zip(closed_row, fock_row)):
-            diff = math.hypot(closed["re"] - fock["re"], closed["im"] - fock["im"])
-            yield (k, l, _format_float(closed["re"]), _format_float(closed["im"]),
-                   _format_float(fock["re"]), _format_float(fock["im"]),
-                   _format_float(diff))
+    closed, fock = payload["closed_form"], payload["fock"]
+    diff = closed - fock
+    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
+    abs_diff = list(map(math.hypot, diff.real.ravel().tolist(),
+                        diff.imag.ravel().tolist()))
+    return zip(_index_keys(*closed.shape), _g17(closed.real), _g17(closed.imag),
+               _g17(fock.real), _g17(fock.imag), _g17(abs_diff))
 
 
 def _render_csv(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +185,7 @@ def cmd_basis(n: int, alpha: complex, eps: float):
     report = gram(basis.states)
     payload = {
         "dim": basis.dim,
-        "states": [[_c(amp) for amp in state] for state in basis.states],
+        "states": basis.states,
         "norm_constants": [float(c) for c in basis.norm_constants],
         "gram_max_deviation": report.max_deviation,
     }
@@ -219,8 +244,8 @@ def cmd_overlap(n: int, alpha: complex, eps: float):
     max_diff = float(np.max(np.abs(closed - fock)))
     payload = {
         "dim": dim,
-        "closed_form": [[_c(v) for v in row] for row in closed],
-        "fock": [[_c(v) for v in row] for row in fock],
+        "closed_form": closed,
+        "fock": fock,
         "max_abs_difference": max_diff,
     }
     return payload, 0
@@ -236,7 +261,7 @@ class Command(NamedTuple):
     eps: bool  # takes --eps, the Poisson tail budget of the Fock truncation
     dense: bool  # allocates n x n arrays, so n is bounded by MAX_DENSE_N
     csv_header: str
-    csv_rows: Callable  # (params, payload) -> one tuple per CSV row
+    csv_rows: Callable  # (params, payload) -> one tuple of str per CSV row
 
 
 _N = ("n", int, None)

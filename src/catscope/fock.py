@@ -32,6 +32,14 @@ def _check_alpha(alpha: complex) -> complex:
     return alpha
 
 
+def _intensity(alpha: complex) -> float:
+    """|alpha|^2 of a finite amplitude, rejected past the double-precision limit."""
+    lam = abs(_check_alpha(alpha)) ** 2
+    if lam > _MAX_ABS_ALPHA_SQ:
+        raise ValueError(f"|alpha|^2 = {lam:g} too large for double precision")
+    return lam
+
+
 def coherent_state(alpha: complex, dim: int) -> FockVector:
     """Coherent state with amplitude ``alpha`` truncated to ``dim`` levels.
 
@@ -47,9 +55,7 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
     alpha = _check_alpha(alpha)
     if dim < 1:
         raise ValueError(f"truncation dimension must be >= 1, got {dim}")
-    lam = abs(alpha) ** 2
-    if lam > _MAX_ABS_ALPHA_SQ:
-        raise ValueError(f"|alpha|^2 = {lam:g} too large for double precision")
+    lam = _intensity(alpha)
     factors = np.empty(dim, dtype=complex)
     factors[0] = math.exp(-lam / 2.0)
     if dim > 1:
@@ -148,14 +154,11 @@ def truncation_dim(alpha: complex, eps: float) -> int:
         alpha: coherent amplitude (only ``|alpha|`` matters).
         eps: tail budget, strictly between 0 and 1.
     """
-    alpha = _check_alpha(alpha)
+    lam = _intensity(alpha)
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    lam = abs(alpha) ** 2
     if lam == 0.0:
         return 1
-    if lam > _MAX_ABS_ALPHA_SQ:
-        raise ValueError(f"|alpha|^2 = {lam:g} too large for double precision")
 
     # Poisson weights p_m = exp(-lam) lam^m / m!, kept while m <= lam or
     # p_m >= eps * 1e-8, then suffix-summed smallest-first so the tiny tails

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import coherent_state, truncation_dim
+from .fock import _intensity, coherent_state, truncation_dim
 from .modexp import ModExpSpec, modexp_all, modexp_series
 
 
@@ -136,6 +136,8 @@ def normalization_constants(n: int, alpha: complex) -> np.ndarray:
 
     Raises:
         DegenerateAlpha: if ``alpha = 0`` with ``n >= 2``.
+        ValueError: if ``|alpha|^2 > 700``, where ``exp(|alpha|^2)`` nears
+            the double-precision limit.
 
     Warns:
         ConditioningWarning: when some ``f_k(|alpha|^2)`` is below
@@ -143,7 +145,7 @@ def normalization_constants(n: int, alpha: complex) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lam = abs(complex(alpha)) ** 2
+    lam = _intensity(alpha)  # rejects |alpha|^2 > 700 before exp(lam) overflows
     if lam == 0.0 and n >= 2:
         raise DegenerateAlpha(
             "DegenerateAlpha: f_k(0) = 0 for k >= 1, the cat states with "
@@ -180,6 +182,8 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
 
     Raises:
         DegenerateAlpha: if ``alpha = 0`` with ``n >= 2``.
+        ValueError: if ``|alpha|^2 > 700``, where ``exp(|alpha|^2)`` nears
+            the double-precision limit.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

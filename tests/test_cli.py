@@ -4,13 +4,15 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from catscope import cli, coherent_state
+from catscope import ConditioningWarning, cli, coherent_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = json.loads((FIXTURES / "output_record.schema.json").read_text())
@@ -55,9 +57,80 @@ def test_parse_complex_rejects(text):
 
 
 def test_dumps_round_trips_byte_identically():
-    payload, _ = cli.cmd_basis(3, 1 + 0j, 1e-14)
-    text = cli.dumps_record(payload)
-    assert cli.dumps_record(json.loads(text)) == text
+    # The payload holds ndarrays, rendered in bulk; json.loads gives dicts and
+    # lists, rendered one float at a time.  parse_int=float keeps the sign of
+    # "-0", which an int would drop.
+    for command in (cli.cmd_basis, cli.cmd_overlap):
+        for n in (1, 2, 8, 64):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                payload, _ = command(n, 0.7 + 0.2j, 1e-14)
+            text = cli.dumps_record(payload)
+            assert cli.dumps_record(json.loads(text, parse_int=float)) == text
+
+
+# +-0, the smallest and the largest subnormal, the smallest normal, the
+# largest finite, +-inf, quiet and signalling nans with payloads, and 1.
+SPECIAL_BITS = [0x0, 0x8000000000000000, 0x1, 0x800FFFFFFFFFFFFF,
+                0x0010000000000000, 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000001,
+                0x7FF0000000000001, 0x3FF0000000000000]
+
+
+@given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS)),
+                max_size=64))
+def test_g17_formats_each_bit_pattern_like_format(bits):
+    bits = bits + bits[::2]  # repeated patterns share one formatted string
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert cli._g17(values) == [format(v, ".17g") for v in values.tolist()]
+    assert cli._g17(values.reshape(-1, 1)) == cli._g17(values)
+
+
+def _oracle_c(value) -> dict:
+    value = complex(value)
+    return {"re": value.real, "im": value.imag}
+
+
+def _oracle_csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def oracle_basis_csv(payload) -> str:
+    """CSV of a basis payload, one dict and one format() call per float."""
+    states = [[_oracle_c(amp) for amp in state] for state in payload["states"]]
+    return _oracle_csv("state,level,re,im", (
+        (k, level, format(amp["re"], ".17g"), format(amp["im"], ".17g"))
+        for k, state in enumerate(states) for level, amp in enumerate(state)))
+
+
+def oracle_overlap_csv(payload) -> str:
+    """CSV of an overlap payload, one dict and one format() call per float."""
+    closed = [[_oracle_c(v) for v in row] for row in payload["closed_form"]]
+    fock = [[_oracle_c(v) for v in row] for row in payload["fock"]]
+    rows = []
+    for k, (closed_row, fock_row) in enumerate(zip(closed, fock)):
+        for l, (c, f) in enumerate(zip(closed_row, fock_row)):
+            diff = math.hypot(c["re"] - f["re"], c["im"] - f["im"])
+            rows.append((k, l, *(format(v, ".17g") for v in (
+                c["re"], c["im"], f["re"], f["im"], diff))))
+    return _oracle_csv("k,l,closed_re,closed_im,fock_re,fock_im,abs_difference", rows)
+
+
+@pytest.mark.parametrize("alpha", ["1+0i", "0.7+0.2i", "-1.5i", "2-1i"])
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_bulk_csv_matches_per_element_oracle(n, alpha, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        basis, _ = cli.cmd_basis(n, cli.parse_complex(alpha), 1e-14)
+        overlap, _ = cli.cmd_overlap(n, cli.parse_complex(alpha), 1e-14)
+        for command, oracle in (("basis", oracle_basis_csv(basis)),
+                                ("overlap", oracle_overlap_csv(overlap))):
+            assert cli.main([command, "--n", str(n), f"--alpha={alpha}",
+                             "--format", "csv"]) == 0
+            assert capsys.readouterr().out == oracle
+    if alpha == "-1.5i" and n > 1:  # amplitudes include -0.0, printed as -0
+        parts = basis["states"].view(np.float64)
+        assert (np.signbit(parts) & (parts == 0)).any()
 
 
 # ------------------------------------------------------------------ commands
@@ -114,6 +187,14 @@ def test_modexp_mod3_value():
     record = json.loads(proc.stdout)
     assert record["payload"]["series"]["re"] == pytest.approx(1.1680583133759185,
                                                               abs=1e-13)
+
+
+def test_modexp_takes_residue_past_factorial_overflow(capsys):
+    # 199! is past double range; the series still starts at x^199 / 199!
+    assert cli.main(["modexp", "--n", "200", "--s", "199", "--x", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["payload"]["series"] == {"re": 0, "im": 0}
 
 
 def test_modexp_residue_out_of_range_exits_2():
@@ -205,12 +286,12 @@ def test_overlap_closed_form_is_circulant(n):
     payload, code = cli.cmd_overlap(n, 0.7 + 0.2j, 1e-14)
     assert code == 0
     closed, fock = payload["closed_form"], payload["fock"]
-    assert len(closed) == len(fock) == n
+    assert closed.shape == fock.shape == (n, n)
     for k in range(n):
         for l in range(n):
-            assert closed[k][l] == closed[0][(l - k) % n]
-            assert math.hypot(closed[k][l]["re"] - fock[k][l]["re"],
-                              closed[k][l]["im"] - fock[k][l]["im"]) < 1e-12
+            assert closed[k, l] == closed[0, (l - k) % n]
+            diff = closed[k, l] - fock[k, l]
+            assert math.hypot(diff.real, diff.imag) < 1e-12
     assert payload["max_abs_difference"] < 1e-12
 
 
@@ -315,6 +396,15 @@ def test_usage_errors_exit_2():
         proc = run_cli("overlap", "--n", n, "--alpha", "1+0i")
         assert proc.returncode == 2
         assert proc.stderr == f"error: n must be >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize("alpha,lam", [("27", "729"), ("30", "900")])
+@pytest.mark.parametrize("command", ["basis", "overlap"])
+def test_alpha_past_double_range_exits_2(command, alpha, lam, capsys):
+    assert cli.main([command, "--n", "2", "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: |alpha|^2 = {lam} too large for double precision\n"
 
 
 @pytest.mark.parametrize("args", [

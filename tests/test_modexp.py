@@ -124,6 +124,15 @@ def test_one_pass_kernel_matches_series(n, x):
         assert abs(values[s] - series) < 1e-14 * math.exp(abs(x))
 
 
+@pytest.mark.parametrize("s", [170, 171, 199])
+@pytest.mark.parametrize("x", [1.0, 50.0, 1 + 0j, 3 - 2j])
+def test_series_residue_past_factorial_overflow_matches_kernel(s, x):
+    # 171! and 50^199 are past double range; f_s itself is not
+    series = modexp_series(ModExpSpec(200, s), x)
+    expected = modexp_all(200, x)[s]
+    assert abs(series - expected) <= 1e-13 * abs(expected)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
 @pytest.mark.parametrize("x", [0.01, 0.3, 1.0, 7.5, 16.0, 49.0, 120.0, 700.0])
 def test_one_pass_kernel_matches_mpmath(n, x):
