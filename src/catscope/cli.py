@@ -34,7 +34,7 @@ from .gates import (clock_matrix, shift_matrix, unitarity_residual,
                     weyl_phase_root_residual)
 from .kaleidoscope import (dft_matrix, gram, kaleidoscope_basis,
                            roots_lemma_sum, rotated_coherent_states)
-from .modexp import ModExpSpec, modexp_roots, modexp_series
+from .modexp import ModExpSpec, _roots, modexp_roots, modexp_series
 
 GATES_TOLERANCE = 1e-12
 LEMMA_TOLERANCE = 1e-12
@@ -67,10 +67,6 @@ def parse_complex(text: str) -> complex:
 # Deterministic serialization
 
 
-def _format_float(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _g17(values) -> list:
     """``"%.17g"`` of each float in ``values``, flattened in C order.
 
@@ -91,7 +87,9 @@ def _to_json(value, out: list) -> None:
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
-        out.append(_format_float(value))
+        out.append("%.17g" % value)
+    elif isinstance(value, complex):
+        out.append('{"re":%.17g,"im":%.17g}' % (value.real, value.imag))
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, dict):
@@ -131,11 +129,6 @@ def dumps_record(record: dict) -> str:
     return "".join(parts)
 
 
-def _c(value: complex) -> dict:
-    value = complex(value)
-    return {"re": value.real, "im": value.imag}
-
-
 # ---------------------------------------------------------------------------
 # CSV rendering: a fixed header per command, then its rows, each a tuple of str
 
@@ -144,10 +137,10 @@ def _one_row(params: dict, payload: dict):
     """The params, then the payload values; a complex value gives two columns."""
     row = []
     for value in (*params.values(), *payload.values()):
-        if isinstance(value, dict):  # a complex value, as built by _c
-            row += _format_float(value["re"]), _format_float(value["im"])
+        if isinstance(value, complex):
+            row += "%.17g" % value.real, "%.17g" % value.imag
         elif isinstance(value, float):
-            row.append(_format_float(value))
+            row.append("%.17g" % value)
         else:  # an int, or a bool rendered as true/false
             row.append(str(value).lower())
     yield tuple(row)
@@ -196,11 +189,7 @@ def cmd_modexp(n: int, s: int, x: complex):
     spec = ModExpSpec(n, s)
     series = complex(modexp_series(spec, x))
     roots = complex(modexp_roots(spec, x))
-    payload = {
-        "series": _c(series),
-        "roots": _c(roots),
-        "abs_difference": abs(series - roots),
-    }
+    payload = {"series": series, "roots": roots, "abs_difference": abs(series - roots)}
     return payload, 0
 
 
@@ -208,7 +197,7 @@ def cmd_lemma(n: int, m: int, s: int):
     value = roots_lemma_sum(n, m, s)
     expected = float(n) if (m - s) % n == 0 else 0.0
     matches = abs(value - expected) < LEMMA_TOLERANCE
-    payload = {"sum": _c(value), "expected": expected, "matches_delta": bool(matches)}
+    payload = {"sum": value, "expected": expected, "matches_delta": bool(matches)}
     return payload, 0
 
 
@@ -219,7 +208,7 @@ def cmd_gates(n: int):
         "unitarity_clock": unitarity_residual(clock_matrix(n)),
         "unitarity_shift": unitarity_residual(shift_matrix(n)),
         "decomposition_residual": verify_clock_shift_decomposition(n),
-        "weyl_phase": _c(phase),
+        "weyl_phase": phase,
         "weyl_residual": weyl_residual,
         "weyl_root_residual": weyl_phase_root_residual(n),
     }
@@ -237,8 +226,7 @@ def cmd_overlap(n: int, alpha: complex, eps: float):
     rotated = rotated_coherent_states(n, alpha, dim)
     fock = rotated.conj() @ rotated.T
     # <w2^k alpha|w2^l alpha> depends only on (l - k) mod n: a circulant table
-    row = np.array([coherent_overlap_closed(alpha, np.exp(2j * np.pi * d / n) * alpha)
-                    for d in range(n)])
+    row = np.array([coherent_overlap_closed(alpha, root * alpha) for root in _roots(n)])
     steps = np.arange(n)
     closed = row[(steps[None, :] - steps[:, None]) % n]
     max_diff = float(np.max(np.abs(closed - fock)))
@@ -343,13 +331,11 @@ def main(argv=None) -> int:
     finally:
         warnings.formatwarning = formatwarning
 
-    params = {name: _c(value) if isinstance(value, complex) else value
-              for name, value in values.items()}
     if args.format == "json":
-        text = dumps_record({"command": args.command, "params": params,
+        text = dumps_record({"command": args.command, "params": values,
                              "payload": payload, "tool_version": __version__}) + "\n"
     else:
-        text = _render_csv(command.csv_header, command.csv_rows(params, payload))
+        text = _render_csv(command.csv_header, command.csv_rows(values, payload))
 
     if args.out:
         try:

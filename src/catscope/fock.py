@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .modexp import _exp_terms, _roots
+
 # A Fock vector is a 1-d complex128 array; its length is the truncation dim.
 FockVector = np.ndarray
 
@@ -27,7 +29,7 @@ _MAX_ABS_ALPHA_SQ = 700.0
 
 def _check_alpha(alpha: complex) -> complex:
     alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+    if not cmath.isfinite(alpha):
         raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
     return alpha
 
@@ -105,8 +107,7 @@ def rotated_overlap(alpha: complex, n: int, k: int, l: int) -> complex:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (0 <= k < n and 0 <= l < n):
         raise ValueError(f"vertex indices must lie in [0, {n}), got k={k}, l={l}")
-    rot = cmath.exp(2j * cmath.pi * (l - k) / n)
-    return cmath.exp(abs(alpha) ** 2 * (rot - 1.0))
+    return cmath.exp(abs(alpha) ** 2 * (_roots(n)[(l - k) % n] - 1.0))
 
 
 def annihilate(v: FockVector) -> FockVector:
@@ -166,10 +167,7 @@ def truncation_dim(alpha: complex, eps: float) -> int:
     # has p_m <= exp(-m), so the stopping index lies below count.
     threshold = eps * 1e-8
     count = int(max(math.e ** 2 * lam, -math.log(max(threshold, 5e-324)))) + 2
-    factors = np.empty(count)
-    factors[0] = math.exp(-lam)
-    factors[1:] = lam / np.arange(1, count)
-    weights = np.cumprod(factors)
+    weights = _exp_terms(math.exp(-lam), lam, count)
     first = int(lam) + 1  # the lowest level above lam
     below = np.flatnonzero(weights[first:] < threshold)
     stop = first + below[0] if below.size else count

@@ -21,13 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from .kaleidoscope import dft_matrix
+from .modexp import _roots
 
 
 def clock_matrix(n: int) -> np.ndarray:
     """Diagonal clock matrix diag(1, omega, ..., omega^(n-1)), omega = exp(2*pi*1j/n)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    return np.diag(_roots(n))
 
 
 def shift_matrix(n: int) -> np.ndarray:

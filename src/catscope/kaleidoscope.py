@@ -14,7 +14,6 @@ arrays are marked read-only, so instances are safe to share across threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import _intensity, coherent_state, truncation_dim
-from .modexp import ModExpSpec, modexp_all, modexp_series
+from .modexp import ModExpSpec, _roots, modexp_all, modexp_series
 
 
 class DegenerateAlpha(ValueError):
@@ -82,33 +81,31 @@ class GramReport:
 def dft_matrix(n: int) -> np.ndarray:
     """Discrete Fourier transform gate: entry (k, j) = w^(j*k)/sqrt(n).
 
-    Uses ``w = exp(-2*pi*1j/n)``; exponents are reduced mod n before
-    exponentiation so every entry is an n-th root of unity to machine
+    Uses ``w = exp(-2*pi*1j/n)``; exponents are reduced mod n and looked up
+    in the roots table, so every entry is an n-th root of unity to machine
     precision.  Unitary: both ``Q Q^dag`` and ``Q^dag Q`` are the identity
     within 1e-13.  For n = 2 this is the Hadamard gate.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     j = np.arange(n)
-    exponents = np.outer(j, j) % n
-    return np.exp(-2j * np.pi * exponents / n) / math.sqrt(n)
+    return _roots(n).conj()[np.outer(j, j) % n] / math.sqrt(n)
 
 
 def rotated_coherent_states(n: int, alpha: complex, dim: int) -> np.ndarray:
     """The n rotated coherent states ``|w2^j alpha>``, one per row.
 
     Rotating alpha by ``w2^j`` multiplies Fock amplitude m by ``w2^(j*m)``,
-    so every row is the one coherent state ``|alpha>`` times exact n-th roots
-    of unity (exponents reduced mod n before exponentiation).
+    so every row is the one coherent state ``|alpha>`` times n-th roots of
+    unity from the roots table (exponents reduced mod n).
 
     Returns:
         (n, dim) complex array; row j is ``|w2^j alpha>`` on ``dim`` levels.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
     exponents = np.outer(np.arange(n), np.arange(dim)) % n
-    return coherent_state(alpha, dim) * roots[exponents]
+    return coherent_state(alpha, dim) * _roots(n)[exponents]
 
 
 def cat_states_raw(n: int, alpha: complex, dim: int) -> np.ndarray:
@@ -222,26 +219,24 @@ def roots_lemma_sum(n: int, m: int, s: int) -> complex:
     """Direct evaluation of sum_{j=0}^{n-1} w2^((m-s)*j), w2 = exp(2*pi*1j/n).
 
     The sum equals n exactly when ``m`` is congruent to ``s`` mod n and
-    vanishes otherwise; it is evaluated term by term (each term an n-th root
-    of unity), not by short-circuiting through that identity.  ``m`` and
-    ``s`` may be any integers.
+    vanishes otherwise; it is evaluated term by term, each term an n-th root
+    of unity, added in order of j, not by short-circuiting through that
+    identity.  ``m`` and ``s`` may be any integers.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    total = 0j
-    for j in range(n):
-        total += cmath.exp(2j * cmath.pi * (((m - s) * j) % n) / n)
-    return total
+    exponents = (m - s) % n * np.arange(n) % n
+    return complex(np.cumsum(_roots(n)[exponents])[-1])
 
 
 def raw_state_norm_sq_closed(n: int, alpha: complex, k: int) -> float:
     """Closed-form squared norm of the k-th raw cat state.
 
     Equals ``n * exp(-|alpha|^2) * f_k(|alpha|^2)``; useful as the analytic
-    cross-check against the numerically summed raw states.
+    cross-check against the numerically summed raw states.  Like
+    :func:`normalization_constants`, it rejects ``|alpha|^2 > 700``.
     """
     if not 0 <= k < n:
         raise ValueError(f"state index must lie in [0, {n}), got {k}")
-    lam = abs(complex(alpha)) ** 2
-    value = modexp_series(ModExpSpec(n, k), lam)
-    return n * math.exp(-lam) * (value.real if isinstance(value, complex) else value)
+    lam = _intensity(alpha)
+    return n * math.exp(-lam) * modexp_series(ModExpSpec(n, k), lam)

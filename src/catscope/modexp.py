@@ -12,14 +12,16 @@ independent routes:
 * :func:`modexp_series` sums the defining series for one residue;
 * :func:`modexp_roots` averages plain exponentials over the n-th roots of
   unity, ``f_s(x) = (1/n) * sum_j conj(w2)^(j*s) * exp(w2^j * x)`` with
-  ``w2 = exp(2*pi*1j/n)``.
+  ``w2 = exp(2*pi*1j/n)``.  ``_roots(n)`` tabulates the ``w2^j``; every root
+  in the package is an entry of it, at an exponent reduced mod n.
 
-:func:`modexp_all` is the one-pass series kernel for the whole family: one
-cumulative product of ``x/m`` gives every term ``x^m/m!``, and the terms are
+:func:`modexp_all` is the one-pass series kernel for the whole family: the
+terms ``x^m/m!`` of ``_exp_terms``, one cumulative product of ``x/m``, are
 summed per residue class ``m mod n``.  Each residue stops where
 :func:`modexp_series` would, once its next term is below ``1e-18`` of its
 partial sum.  The kernel never takes the roots-of-unity route, which cancels
-away every digit of a small f_s.
+away every digit of a small f_s.  Every route raises :class:`SeriesCapError`
+once its terms overflow double precision.
 
 Differentiating the series termwise shifts the residue down by one
 (cyclically), so the s-th function is reproduced after n derivatives; see
@@ -46,8 +48,23 @@ _ABS_FLOOR = 1e-300
 _MAX_TERMS = 10_000
 
 
-class SeriesCapError(ArithmeticError):
-    """Series failed to converge within the hard term cap (pathological |x|)."""
+class SeriesCapError(OverflowError):
+    """The terms overflow double precision, or the series hit its hard term cap."""
+
+
+def _range_error(n: int, x: complex) -> SeriesCapError:
+    return SeriesCapError(
+        f"mod-{n} exponential terms at x={x!r} are too large for double precision")
+
+
+def _roots(n: int) -> np.ndarray:
+    """The n-th roots of unity ``w2^j = exp(2*pi*1j*j/n)`` for j in [0, n)."""
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _exp_terms(first: float, x: complex, count: int) -> np.ndarray:
+    """``first * x^m / m!`` for m in [0, count): one cumulative product of x/m."""
+    return np.cumprod(np.concatenate(([first], x / np.arange(1, count))))
 
 
 @dataclass(frozen=True)
@@ -65,8 +82,7 @@ class ModExpSpec:
 
 
 def _check_finite(x: complex) -> complex:
-    xc = complex(x)
-    if not (math.isfinite(xc.real) and math.isfinite(xc.imag)):
+    if not cmath.isfinite(x):
         raise ValueError(f"argument must be finite, got {x!r}")
     return x
 
@@ -79,8 +95,8 @@ def modexp_series(spec: ModExpSpec, x: complex) -> complex:
     the next term drops below ``1e-18`` of the partial sum.
 
     Raises:
-        SeriesCapError: if the hard term cap is exhausted before convergence
-            (only reachable for pathologically large ``|x|``).
+        SeriesCapError: if a term overflows double precision, or the hard
+            term cap is exhausted before convergence.
     """
     x = _check_finite(x)
     n, s = spec.n, spec.s
@@ -95,6 +111,8 @@ def modexp_series(spec: ModExpSpec, x: complex) -> complex:
             term = term * x / (n * k + s + i)
         if abs(term) < max(_REL_TOL * abs(total), _ABS_FLOOR):
             return total
+        if not cmath.isfinite(term):
+            raise _range_error(n, x)
     raise SeriesCapError(
         f"f_{s} (mod {n}) did not converge within {_MAX_TERMS} terms at x={x!r}")
 
@@ -102,18 +120,20 @@ def modexp_series(spec: ModExpSpec, x: complex) -> complex:
 def modexp_roots(spec: ModExpSpec, x: complex) -> complex:
     """Evaluate f_s(x) as a root-of-unity average of exponentials.
 
-    Computes ``(1/n) * sum_j exp(-2*pi*1j*j*s/n) * exp(exp(2*pi*1j*j/n) * x)``.
-    For real ``x`` the exact value is real; the floating-point imaginary
-    residue stays below ``1e-13 * exp(|x|)`` and is zeroed when it does.
-    Complex arguments are returned untouched.
+    Computes ``(1/n) * sum_j conj(w2)^(j*s mod n) * exp(w2^j * x)``, adding
+    the n terms in order of j; a term or sum past double precision raises
+    :class:`SeriesCapError`.  For real ``x`` the exact value is real; the
+    floating-point imaginary residue stays below ``1e-13 * exp(|x|)`` and is
+    zeroed when it does.  Complex arguments are returned untouched.
     """
     x = _check_finite(x)
     n, s = spec.n, spec.s
-    total = 0j
-    for j in range(n):
-        coeff = cmath.exp(-2j * cmath.pi * ((j * s) % n) / n)
-        rotated = cmath.exp(2j * cmath.pi * j / n) * x
-        total += coeff * cmath.exp(rotated)
+    roots = _roots(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        terms = roots.conj()[np.arange(n) * s % n] * np.exp(roots * x)
+        total = complex(np.cumsum(terms)[-1])
+    if not cmath.isfinite(total):
+        raise _range_error(n, x)
     result = total / n
     if complex(x).imag == 0.0:
         bound = 1e-13 * math.exp(min(abs(x), 700.0))
@@ -139,29 +159,28 @@ def modexp_all(n: int, x: complex) -> np.ndarray:
         sum is exp(x).
 
     Raises:
-        SeriesCapError: if the terms overflow double precision or some
-            residue has not converged within the hard term cap (only
-            reachable for pathologically large ``|x|``).
+        SeriesCapError: if the terms or their sums overflow double
+            precision, or some residue has not converged within the hard
+            term cap.
     """
     if n < 1:
         raise ValueError(f"modulus n must be >= 1, got {n}")
     x = _check_finite(x)
-    dtype = complex if isinstance(x, complex) else float
     rows = min(2 + int(abs(x) + 10.0 * math.sqrt(abs(x)) + 40.0) // n, _MAX_TERMS)
     while True:
-        ratios = np.empty(n * rows, dtype=dtype)
-        ratios[0] = 1.0
-        ratios[1:] = x / np.arange(1, n * rows)
         with np.errstate(over="ignore", invalid="ignore"):  # raised below
-            terms = np.cumprod(ratios).reshape(rows, n)
+            terms = _exp_terms(1.0, x, n * rows).reshape(rows, n)
             partial = np.cumsum(terms, axis=0)
+        # an overflowed partial sum stays inf or nan through the last row
+        if not np.isfinite(partial[-1]).all():
+            raise _range_error(n, x)
         # converged[k, s]: the term after row k is negligible next to the
         # partial sum through row k
         converged = np.abs(terms[1:]) < np.maximum(
             _REL_TOL * np.abs(partial[:-1]), _ABS_FLOOR)
         if converged.any(axis=0).all():
             return partial[np.argmax(converged, axis=0), np.arange(n)]
-        if rows == _MAX_TERMS or not np.isfinite(partial[-1]).all():
+        if rows == _MAX_TERMS:
             raise SeriesCapError(
                 f"mod-{n} exponentials did not converge within {_MAX_TERMS} "
                 f"terms per residue at x={x!r}")

@@ -197,6 +197,15 @@ def test_modexp_takes_residue_past_factorial_overflow(capsys):
     assert json.loads(captured.out)["payload"]["series"] == {"re": 0, "im": 0}
 
 
+@pytest.mark.parametrize("x", ["709", "715", "800", "1e5", "800i", "-800"])
+def test_modexp_past_double_range_exits_2(x, capsys):
+    assert cli.main(["modexp", "--n", "1", "--s", "0", f"--x={x}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: mod-1 exponential terms at x={cli.parse_complex(x)!r} "
+                            "are too large for double precision\n")
+
+
 def test_modexp_residue_out_of_range_exits_2():
     proc = run_cli("modexp", "--n", "2", "--s", "5", "--x", "1.0")
     assert proc.returncode == 2

@@ -2,9 +2,11 @@
 
 import cmath
 import math
+import re
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catscope import (
     ModExpSpec,
@@ -98,6 +100,23 @@ def test_two_evaluation_paths_agree(n, x):
 def test_components_partition_the_exponential(n, x):
     total = sum(modexp_all(n, x))
     assert abs(total - cmath.exp(x)) < 1e-12 * math.exp(abs(x))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 64), st.floats(0.0, 700.0))
+def test_components_sum_to_exp_for_any_real_argument(n, x):
+    assert abs(math.fsum(modexp_all(n, x)) - math.exp(x)) <= 1e-13 * math.exp(x)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 64), st.one_of(
+    st.floats(-30.0, 30.0), st.builds(complex, st.floats(-30.0, 30.0),
+                                      st.floats(-30.0, 30.0))))
+def test_roots_route_matches_series_for_any_argument(n, x):
+    for s in range(n):
+        series = modexp_series(ModExpSpec(n, s), x)
+        roots = modexp_roots(ModExpSpec(n, s), x)
+        assert abs(roots - series) <= 1e-13 * math.exp(abs(x))
 
 
 def exact_mod_exponentials(n, x):
@@ -218,6 +237,20 @@ def test_non_finite_argument_rejected():
         modexp_series(ModExpSpec(2, 0), float("inf"))
     with pytest.raises(ValueError):
         modexp_roots(ModExpSpec(2, 0), float("nan"))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("x", [715.0, 800.0, 1e5, 800j])
+def test_terms_past_double_range_raise_one_error(n, x):
+    message = re.escape(f"mod-{n} exponential terms at x={x!r} are too large "
+                        "for double precision")
+    with pytest.raises(SeriesCapError, match=message):
+        modexp_series(ModExpSpec(n, n - 1), x)
+    with pytest.raises(SeriesCapError, match=message):
+        modexp_all(n, x)
+    if isinstance(x, float):  # exp(x) overflows; exp(800j * w2^j) does not
+        with pytest.raises(OverflowError, match=message):
+            modexp_roots(ModExpSpec(n, n - 1), x)
 
 
 def test_series_cap_is_an_explicit_error():
