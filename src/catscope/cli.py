@@ -2,7 +2,7 @@
 
 Subcommands: basis, modexp, lemma, gates, overlap.  The ``COMMANDS`` table is
 the single description of each one (its options, whether it takes --eps or
-bounds n, its CSV header and rows); the parser, the dispatch to ``cmd_<name>``,
+its bound on n, its CSV header and rows); the parser, the dispatch to ``cmd_<name>``,
 the output record and the CSV rendering are all built from it.
 
 Output goes to stdout (or the --out file) as JSON by default or CSV with
@@ -38,7 +38,7 @@ from .modexp import ModExpSpec, _roots, modexp_roots, modexp_series
 
 GATES_TOLERANCE = 1e-12
 LEMMA_TOLERANCE = 1e-12
-# basis, overlap and gates hold n x max(n, dim) complex arrays and an n^2 payload
+# basis, overlap, gates hold n x max(n, dim) arrays; lemma, modexp length-n ones
 MAX_DENSE_N = 1024
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -220,8 +220,6 @@ def cmd_gates(n: int):
 
 
 def cmd_overlap(n: int, alpha: complex, eps: float):
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     dim = truncation_dim(alpha, eps)
     rotated = rotated_coherent_states(n, alpha, dim)
     fock = rotated.conj() @ rotated.T
@@ -247,7 +245,7 @@ class Command(NamedTuple):
     help: str
     params: tuple  # (name, int or complex, help) per required --name option
     eps: bool  # takes --eps, the Poisson tail budget of the Fock truncation
-    dense: bool  # allocates n x n arrays, so n is bounded by MAX_DENSE_N
+    max_n: int  # the largest n taken, checked before anything is allocated
     csv_header: str
     csv_rows: Callable  # (params, payload) -> one tuple of str per CSV row
 
@@ -257,25 +255,26 @@ _ALPHA = ("alpha", complex, "complex, e.g. 1+0i")
 
 COMMANDS = {
     "basis": Command(
-        "build the n orthonormal cat states", (_N, _ALPHA), True, True,
+        "build the n orthonormal cat states", (_N, _ALPHA), True, MAX_DENSE_N,
         "state,level,re,im", _basis_rows),
     "modexp": Command(
         "evaluate f_s(x) mod n by series and by roots of unity",
         (_N, ("s", int, None), ("x", complex, "complex or real argument")),
-        False, False,
+        False, MAX_DENSE_N ** 2,
         "n,s,x_re,x_im,series_re,series_im,roots_re,roots_im,abs_difference",
         _one_row),
     "lemma": Command(
         "direct root-of-unity sum and its n*delta verdict",
-        (_N, ("m", int, None), ("s", int, None)), False, False,
+        (_N, ("m", int, None), ("s", int, None)), False, MAX_DENSE_N ** 2,
         "n,m,s,sum_re,sum_im,expected,matches_delta", _one_row),
     "gates": Command(
         "clock/shift unitarity, Fourier decomposition and Weyl commutation "
-        "residuals", (_N,), False, True,
+        "residuals", (_N,), False, MAX_DENSE_N,
         "n,unitarity_dft,unitarity_clock,unitarity_shift,decomposition_residual,"
         "weyl_phase_re,weyl_phase_im,weyl_residual,weyl_root_residual", _one_row),
     "overlap": Command(
-        "rotated-state overlap table, closed form vs Fock", (_N, _ALPHA), True, True,
+        "rotated-state overlap table, closed form vs Fock", (_N, _ALPHA), True,
+        MAX_DENSE_N,
         "k,l,closed_re,closed_im,fock_re,fock_im,abs_difference", _overlap_rows),
 }
 
@@ -319,8 +318,8 @@ def main(argv=None) -> int:
     try:
         values = {name: parse_complex(getattr(args, name)) if kind is complex
                   else getattr(args, name) for name, kind, _ in command.params}
-        if command.dense and values["n"] > MAX_DENSE_N:
-            raise ValueError(f"n must be <= {MAX_DENSE_N}, got {values['n']}")
+        if values["n"] > command.max_n:
+            raise ValueError(f"n must be <= {command.max_n}, got {values['n']}")
         if command.eps:
             values["eps"] = args.eps
         # by module attribute, so a replaced cmd_* is the one called

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .modexp import _exp_terms, _roots
+from .modexp import _check_n, _exp_terms, _roots
 
 # A Fock vector is a 1-d complex128 array; its length is the truncation dim.
 FockVector = np.ndarray
@@ -103,8 +103,7 @@ def rotated_overlap(alpha: complex, n: int, k: int, l: int) -> complex:
         k, l: vertex indices in [0, n).
     """
     alpha = _check_alpha(alpha)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     if not (0 <= k < n and 0 <= l < n):
         raise ValueError(f"vertex indices must lie in [0, {n}), got k={k}, l={l}")
     return cmath.exp(abs(alpha) ** 2 * (_roots(n)[(l - k) % n] - 1.0))

@@ -21,20 +21,18 @@ from __future__ import annotations
 import numpy as np
 
 from .kaleidoscope import dft_matrix
-from .modexp import _roots
+from .modexp import _check_n, _roots
 
 
 def clock_matrix(n: int) -> np.ndarray:
     """Diagonal clock matrix diag(1, omega, ..., omega^(n-1)), omega = exp(2*pi*1j/n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     return np.diag(_roots(n))
 
 
 def shift_matrix(n: int) -> np.ndarray:
     """Cyclic shift permutation: column j has its 1 in row (j+1) mod n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     # row i is the unit row e_(i-1); index -1 wraps row 0 round to e_(n-1)
     return np.eye(n, dtype=complex)[np.arange(-1, n - 1)]
 

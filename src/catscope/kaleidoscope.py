@@ -22,14 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import _intensity, coherent_state, truncation_dim
-from .modexp import ModExpSpec, _roots, modexp_all, modexp_series
+from .modexp import ModExpSpec, _check_n, _roots, modexp_all, modexp_series
 
 
 class DegenerateAlpha(ValueError):
-    """alpha = 0 requested where the rotated copies collapse onto each other.
+    """Some cat state for this (n, alpha) does not exist in double precision.
 
-    At alpha = 0 every rotated coherent state is the vacuum, so only the
-    residue-0 combination survives; the remaining states are 0/0.
+    Cat state k exists while its weight ``exp(-|alpha|^2) * f_k(|alpha|^2)`` is a
+    normal double.  alpha = 0 with n >= 2 (weights ``[1, 0, ...]``) is the limit.
     """
 
 
@@ -86,8 +86,7 @@ def dft_matrix(n: int) -> np.ndarray:
     precision.  Unitary: both ``Q Q^dag`` and ``Q^dag Q`` are the identity
     within 1e-13.  For n = 2 this is the Hadamard gate.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     j = np.arange(n)
     return _roots(n).conj()[np.outer(j, j) % n] / math.sqrt(n)
 
@@ -102,8 +101,7 @@ def rotated_coherent_states(n: int, alpha: complex, dim: int) -> np.ndarray:
     Returns:
         (n, dim) complex array; row j is ``|w2^j alpha>`` on ``dim`` levels.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     exponents = np.outer(np.arange(n), np.arange(dim)) % n
     return coherent_state(alpha, dim) * _roots(n)[exponents]
 
@@ -132,22 +130,25 @@ def normalization_constants(n: int, alpha: complex) -> np.ndarray:
     analogue (odd).
 
     Raises:
-        DegenerateAlpha: if ``alpha = 0`` with ``n >= 2``.
-        ValueError: if ``|alpha|^2 > 700``, where ``exp(|alpha|^2)`` nears
-            the double-precision limit.
+        DegenerateAlpha: if some ``exp(-|alpha|^2) * f_k(|alpha|^2)`` is below
+            the smallest normal double (naming the first such k), as at alpha = 0.
+        ValueError: if ``n < 1`` or ``|alpha|^2 > 700``, where
+            ``exp(|alpha|^2)`` nears the double-precision limit.
 
     Warns:
         ConditioningWarning: when some ``f_k(|alpha|^2)`` is below
             ``1e-12 * exp(|alpha|^2)`` and the constant loses accuracy.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     lam = _intensity(alpha)  # rejects |alpha|^2 > 700 before exp(lam) overflows
-    if lam == 0.0 and n >= 2:
-        raise DegenerateAlpha(
-            "DegenerateAlpha: f_k(0) = 0 for k >= 1, the cat states with "
-            "nonzero residue are undefined at alpha = 0")
     values = modexp_all(n, lam)
+    weights = math.exp(-lam) * values
+    below = np.flatnonzero(weights < np.finfo(float).tiny)  # zero or subnormal
+    if below.size:
+        k = below[0]
+        raise DegenerateAlpha(
+            f"DegenerateAlpha: exp(-|alpha|^2) * f_{k}(|alpha|^2) = {weights[k]:.3e} "
+            f"is below the smallest normal double; cat state {k} does not exist")
     small = values < 1e-12 * math.exp(lam)
     if small.any():
         worst = int(np.argmax(small))
@@ -178,14 +179,12 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     its first Fock amplitude above 1e-13 is real positive.
 
     Raises:
-        DegenerateAlpha: if ``alpha = 0`` with ``n >= 2``.
-        ValueError: if ``|alpha|^2 > 700``, where ``exp(|alpha|^2)`` nears
-            the double-precision limit.
+        DegenerateAlpha: if a cat state leaves double range, as at alpha = 0.
+        ValueError: if ``n < 1`` or ``|alpha|^2 > 700``, where
+            ``exp(|alpha|^2)`` nears the double-precision limit.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     alpha = complex(alpha)
-    constants = normalization_constants(n, alpha)  # also rejects alpha = 0
+    constants = normalization_constants(n, alpha)  # checks n and that the states exist
     dim = max(truncation_dim(alpha, eps), n)
     amps = coherent_state(alpha, dim)
     classes = np.arange(dim) % n
@@ -223,8 +222,7 @@ def roots_lemma_sum(n: int, m: int, s: int) -> complex:
     of unity, added in order of j, not by short-circuiting through that
     identity.  ``m`` and ``s`` may be any integers.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     exponents = (m - s) % n * np.arange(n) % n
     return complex(np.cumsum(_roots(n)[exponents])[-1])
 
@@ -234,7 +232,8 @@ def raw_state_norm_sq_closed(n: int, alpha: complex, k: int) -> float:
 
     Equals ``n * exp(-|alpha|^2) * f_k(|alpha|^2)``; useful as the analytic
     cross-check against the numerically summed raw states.  Like
-    :func:`normalization_constants`, it rejects ``|alpha|^2 > 700``.
+    :func:`normalization_constants`, it rejects ``|alpha|^2 > 700``; at a
+    degenerate alpha it underflows to a subnormal or 0.0, never nan or inf.
     """
     if not 0 <= k < n:
         raise ValueError(f"state index must lie in [0, {n}), got {k}")

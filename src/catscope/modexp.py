@@ -57,6 +57,12 @@ def _range_error(n: int, x: complex) -> SeriesCapError:
         f"mod-{n} exponential terms at x={x!r} are too large for double precision")
 
 
+def _check_n(n: int) -> None:
+    """Reject n < 1; every function and command that takes n checks it here."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def _roots(n: int) -> np.ndarray:
     """The n-th roots of unity ``w2^j = exp(2*pi*1j*j/n)`` for j in [0, n)."""
     return np.exp(2j * np.pi * np.arange(n) / n)
@@ -75,8 +81,7 @@ class ModExpSpec:
     s: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"modulus n must be >= 1, got {self.n}")
+        _check_n(self.n)
         if not 0 <= self.s < self.n:
             raise ValueError(f"residue s must lie in [0, {self.n}), got {self.s}")
 
@@ -163,8 +168,7 @@ def modexp_all(n: int, x: complex) -> np.ndarray:
             precision, or some residue has not converged within the hard
             term cap.
     """
-    if n < 1:
-        raise ValueError(f"modulus n must be >= 1, got {n}")
+    _check_n(n)
     x = _check_finite(x)
     rows = min(2 + int(abs(x) + 10.0 * math.sqrt(abs(x)) + 40.0) // n, _MAX_TERMS)
     while True:

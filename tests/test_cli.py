@@ -154,6 +154,28 @@ def test_basis_degenerate_alpha_exits_2():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("n,alpha", [("140", "0.5"), ("141", "0.5"), ("349", "4+0i"),
+                                     ("350", "4+0i")])
+def test_basis_exits_2_where_a_cat_state_leaves_double_range(n, alpha, capsys):
+    # the top class weight is subnormal at 140 and 349, zero at 141 and 350
+    assert cli.main(["basis", "--n", n, "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: DegenerateAlpha: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_overlap_exits_0_where_the_basis_is_degenerate(capsys):
+    assert cli.main(["overlap", "--n", "350", "--alpha", "4+0i"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)["payload"]
+    for table in (payload["closed_form"], payload["fock"]):
+        values = [(v["re"], v["im"]) for row in table for v in row]
+        assert np.isfinite(values).all()
+    assert payload["max_abs_difference"] < 1e-12
+
+
 def test_basis_n1_echoes_coherent_state():
     proc = run_cli("basis", "--n", "1", "--alpha", "1+0i")
     assert proc.returncode == 0, proc.stderr
@@ -395,16 +417,29 @@ def test_eps_flag_controls_truncation():
 # --------------------------------------------------------------- exit codes
 
 
-def test_usage_errors_exit_2():
+# The options after --n that each command requires
+REQUIRED_ARGS = {
+    "basis": ("--alpha", "1+0i"),
+    "modexp": ("--s", "0", "--x", "1"),
+    "lemma": ("--m", "1", "--s", "0"),
+    "gates": (),
+    "overlap": ("--alpha", "1+0i"),
+}
+
+
+def test_usage_errors_exit_2(capsys):
     assert run_cli("basis", "--n", "3").returncode == 2           # missing alpha
     assert run_cli("basis", "--n", "3", "--alpha", "nope").returncode == 2
     assert run_cli("nosuchcommand").returncode == 2
     assert run_cli().returncode == 2
     assert run_cli("gates", "--n", "3", "--eps", "1e-6").returncode == 2
-    for n in ("0", "-2"):
-        proc = run_cli("overlap", "--n", n, "--alpha", "1+0i")
-        assert proc.returncode == 2
-        assert proc.stderr == f"error: n must be >= 1, got {n}\n"
+    assert set(REQUIRED_ARGS) == set(cli.COMMANDS)
+    for command, args in REQUIRED_ARGS.items():
+        for n in ("0", "-2"):
+            assert cli.main([command, "--n", n, *args]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: n must be >= 1, got {n}\n"
 
 
 @pytest.mark.parametrize("alpha,lam", [("27", "729"), ("30", "900")])
@@ -416,21 +451,28 @@ def test_alpha_past_double_range_exits_2(command, alpha, lam, capsys):
     assert captured.err == f"error: |alpha|^2 = {lam} too large for double precision\n"
 
 
+# Each command at one past its bound on n: 1024 for the commands that hold
+# n x n arrays, 1024^2 for those that hold length-n ones.
 @pytest.mark.parametrize("args", [
     ("basis", "--n", "1025", "--alpha", "1+0i"),
     ("overlap", "--n", "1025", "--alpha", "1+0i"),
     ("gates", "--n", "1025"),
+    ("lemma", "--n", "1048577", "--m", "1", "--s", "1"),
+    ("modexp", "--n", "1048577", "--s", "0", "--x", "1"),
 ])
 def test_dense_commands_reject_n_above_bound(args, capsys):
+    n = int(args[2])
     assert cli.main(list(args)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: n must be <= 1024, got 1025\n"
+    assert captured.err == f"error: n must be <= {n - 1}, got {n}\n"
 
 
 @pytest.mark.parametrize("args", [
     ("lemma", "--n", "1025", "--m", "1", "--s", "1"),
     ("modexp", "--n", "1025", "--s", "0", "--x", "1"),
+    ("lemma", "--n", "1048576", "--m", "1", "--s", "1"),
+    ("modexp", "--n", "1048576", "--s", "0", "--x", "1"),
 ])
 def test_linear_commands_take_n_above_dense_bound(args, capsys):
     assert cli.main(list(args)) == 0

@@ -168,6 +168,44 @@ def test_constants_degenerate_alpha():
     np.testing.assert_allclose(normalization_constants(1, 0.0), [1.0])
 
 
+# First n whose top class weight exp(-|alpha|^2) * f_(n-1)(|alpha|^2) falls
+# below the smallest normal double, per |alpha|.
+FIRST_DEGENERATE_N = [(0.2, 104), (0.5, 135), (1.0, 172), (2.0, 231), (4.0, 338),
+                      (8.0, 555), (12.0, 795)]
+
+
+@pytest.mark.parametrize("alpha,first", FIRST_DEGENERATE_N)
+def test_existence_rule_keeps_the_last_basis_orthonormal(alpha, first):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        basis = kaleidoscope_basis(first - 1, alpha)
+    assert gram(basis.states).max_deviation <= 10 * np.finfo(float).eps
+    with pytest.raises(DegenerateAlpha, match=f"cat state {first - 1} does not exist"):
+        kaleidoscope_basis(first, alpha)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 1024), st.floats(0.0, 26.0, exclude_min=True),
+       st.floats(0.0, 2 * math.pi))
+def test_basis_exists_in_double_range_or_raises(n, radius, phase):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            basis = kaleidoscope_basis(n, cmath.rect(radius, phase))
+    except DegenerateAlpha:
+        return
+    assert np.isfinite(basis.states).all()
+    assert np.isfinite(basis.norm_constants).all()
+    assert gram(basis.states).max_deviation <= 10 * np.finfo(float).eps
+
+
+def test_closed_norm_underflows_past_the_existence_rule():
+    # n * exp(-0.25) * f_k(0.25) underflows to 0.0 at k = 140 and to a
+    # subnormal at k = 139; the closed form never divides by it
+    assert raw_state_norm_sq_closed(141, 0.5, 140) == 0.0
+    assert 0.0 < raw_state_norm_sq_closed(140, 0.5, 139) < np.finfo(float).tiny
+
+
 def test_conditioning_warning_for_tiny_component():
     # f_5(0.01) ~ 0.01^5/5! sits below 1e-12 * exp(0.01)
     with pytest.warns(ConditioningWarning):
