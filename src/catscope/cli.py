@@ -9,8 +9,8 @@ Output goes to stdout (or the --out file) as JSON by default or CSV with
 --format csv; diagnostics, library warnings included, go to stderr.
 Serialization is deterministic: fixed key order, floats rendered with 17
 significant digits (``.17g``) so values round-trip exactly.  The state and
-overlap arrays stay ndarrays in the payload and are rendered in bulk under the
-same contract, each distinct float formatted once.
+overlap arrays stay ndarrays and are rendered in bulk, each distinct cell once;
+the overlap tables are circulant, n distinct cells among n^2.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
@@ -40,6 +40,7 @@ GATES_TOLERANCE = 1e-12
 LEMMA_TOLERANCE = 1e-12
 # basis, overlap, gates hold n x max(n, dim) arrays; lemma, modexp length-n ones
 MAX_DENSE_N = 1024
+_JSON_COMPLEX = '{"re":%.17g,"im":%.17g}'
 
 _NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _REAL_RE = re.compile(rf"^[+-]?{_NUM}$")
@@ -67,18 +68,28 @@ def parse_complex(text: str) -> complex:
 # Deterministic serialization
 
 
-def _g17(values) -> list:
-    """``"%.17g"`` of each float in ``values``, flattened in C order.
+def _distinct_text(render, *columns) -> list:
+    """``render(cell)`` of each cell, the tuple of the ``columns``' floats at one place.
 
-    Each distinct bit pattern is formatted once (an overlap table has n
-    distinct closed-form values among n^2, a basis state mostly zeros).
-    Duplicates are found on the bits, not the values, so -0.0 and 0.0 keep
-    their own text.
+    Flattened in C order; ``render`` runs once per distinct cell (an overlap
+    table has n among n^2, a basis state mostly zeros).  Cells are told apart
+    by their bits, not their values, so -0.0 and 0.0, and nans with different
+    payloads, keep their own text.
     """
-    bits = np.ascontiguousarray(values, dtype=float).reshape(-1).view(np.uint64)
-    unique, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(["%.17g" % v for v in unique.view(float).tolist()], dtype=object)
-    return text[inverse].tolist()
+    bits = np.array([np.asarray(c, float).ravel().view(np.uint64) for c in columns])
+    order = np.lexsort(bits)  # equal cells end up next to each other
+    ranked = bits[:, order]
+    first = np.ones(ranked.shape[1], dtype=bool)  # the first cell of each run
+    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    cells = ranked[:, first].T.view(float).tolist()
+    return np.array([render(tuple(c)) for c in cells], dtype=object)[inverse].tolist()
+
+
+def _g17(values) -> list:
+    """``"%.17g"`` of each float in ``values``, flattened in C order."""
+    return _distinct_text("%.17g".__mod__, values)
 
 
 def _to_json(value, out: list) -> None:
@@ -89,7 +100,7 @@ def _to_json(value, out: list) -> None:
     elif isinstance(value, float):
         out.append("%.17g" % value)
     elif isinstance(value, complex):
-        out.append('{"re":%.17g,"im":%.17g}' % (value.real, value.imag))
+        out.append(_JSON_COMPLEX % (value.real, value.imag))
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif isinstance(value, dict):
@@ -109,10 +120,8 @@ def _to_json(value, out: list) -> None:
             _to_json(item, out)
         out.append("]")
     elif isinstance(value, np.ndarray):  # complex, 1-D or 2-D: {"re","im"} items
-        rows = np.atleast_2d(value)
-        width = rows.shape[1]
-        items = ['{"re":%s,"im":%s}' % pair
-                 for pair in zip(_g17(rows.real), _g17(rows.imag))]
+        width = value.shape[-1]
+        items = _distinct_text(_JSON_COMPLEX.__mod__, value.real, value.imag)
         text = ",".join(["[" + ",".join(items[i:i + width]) + "]"
                          for i in range(0, len(items), width)])
         out.append(text if value.ndim == 1 else "[" + text + "]")
@@ -147,7 +156,8 @@ def _one_row(params: dict, payload: dict):
 
 
 def _index_keys(rows: int, cols: int) -> list:
-    return [f"{i},{j}" for i in range(rows) for j in range(cols)]
+    tails = [f",{j}" for j in range(cols)]
+    return [str(i) + tail for i in range(rows) for tail in tails]
 
 
 def _basis_rows(params: dict, payload: dict):
@@ -155,14 +165,16 @@ def _basis_rows(params: dict, payload: dict):
     return zip(_index_keys(*states.shape), _g17(states.real), _g17(states.imag))
 
 
+def _overlap_cell(cell: tuple) -> str:  # (closed_re, closed_im, fock_re, fock_im)
+    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
+    diff = math.hypot(cell[0] - cell[2], cell[1] - cell[3])
+    return "%.17g,%.17g,%.17g,%.17g,%.17g" % (*cell, diff)
+
+
 def _overlap_rows(params: dict, payload: dict):
     closed, fock = payload["closed_form"], payload["fock"]
-    diff = closed - fock
-    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
-    abs_diff = list(map(math.hypot, diff.real.ravel().tolist(),
-                        diff.imag.ravel().tolist()))
-    return zip(_index_keys(*closed.shape), _g17(closed.real), _g17(closed.imag),
-               _g17(fock.real), _g17(fock.imag), _g17(abs_diff))
+    return zip(_index_keys(*closed.shape), _distinct_text(
+        _overlap_cell, closed.real, closed.imag, fock.real, fock.imag))
 
 
 def _render_csv(header: str, rows) -> str:
@@ -193,10 +205,19 @@ def cmd_modexp(n: int, s: int, x: complex):
     return payload, 0
 
 
+def _lemma_tolerance(n: int, r: int) -> float:
+    # r = (m - s) mod n.  The partial sums stay within 1/|sin(pi r/n)|, so the sum is
+    # off by at most about u*n*(1 + 1/|sin(pi r/n)|) (Higham, ch. 4); eps = 2u takes
+    # that twice.  For r = 0 every term is exactly 1.
+    bound = n * (1 + 1 / abs(math.sin(math.pi * r / n))) if r else 0.0
+    return max(LEMMA_TOLERANCE, np.finfo(float).eps * bound)
+
+
 def cmd_lemma(n: int, m: int, s: int):
     value = roots_lemma_sum(n, m, s)
-    expected = float(n) if (m - s) % n == 0 else 0.0
-    matches = abs(value - expected) < LEMMA_TOLERANCE
+    r = (m - s) % n
+    expected = 0.0 if r else float(n)
+    matches = abs(value - expected) < _lemma_tolerance(n, r)
     payload = {"sum": value, "expected": expected, "matches_delta": bool(matches)}
     return payload, 0
 
@@ -222,17 +243,16 @@ def cmd_gates(n: int):
 def cmd_overlap(n: int, alpha: complex, eps: float):
     dim = truncation_dim(alpha, eps)
     rotated = rotated_coherent_states(n, alpha, dim)
-    fock = rotated.conj() @ rotated.T
-    # <w2^k alpha|w2^l alpha> depends only on (l - k) mod n: a circulant table
-    row = np.array([coherent_overlap_closed(alpha, root * alpha) for root in _roots(n)])
-    steps = np.arange(n)
-    closed = row[(steps[None, :] - steps[:, None]) % n]
-    max_diff = float(np.max(np.abs(closed - fock)))
+    # <w2^k alpha|w2^l alpha> depends only on (l - k) mod n, so both tables are
+    # circulant: their rows k = 0, n inner products each, laid out by one index table
+    fock = rotated[0].conj() @ rotated.T
+    closed = np.array([coherent_overlap_closed(alpha, w * alpha) for w in _roots(n)])
+    circulant = (np.arange(n) - np.arange(n)[:, None]) % n  # (l - k) mod n at (k, l)
     payload = {
         "dim": dim,
-        "closed_form": closed,
-        "fock": fock,
-        "max_abs_difference": max_diff,
+        "closed_form": closed[circulant],
+        "fock": fock[circulant],
+        "max_abs_difference": float(np.max(np.abs(closed - fock))),
     }
     return payload, 0
 

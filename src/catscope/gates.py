@@ -13,7 +13,7 @@ exp(-2*pi*1j/n)``, the consistent triple is
 
 Flipping the sign of ``omega`` instead pairs with the opposite shift
 direction; mixing the conventions produces an order-1 residual.
-Matrices are dense; every use here has n <= 64.
+Matrices are dense; the CLI takes n <= 1024.
 """
 
 from __future__ import annotations

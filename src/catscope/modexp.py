@@ -105,9 +105,10 @@ def modexp_series(spec: ModExpSpec, x: complex) -> complex:
     """
     x = _check_finite(x)
     n, s = spec.n, spec.s
-    try:
-        term = x ** s / math.factorial(s)
-    except OverflowError:  # x^s, or s! from s = 171 on, is past double range
+    try:  # from s = 171 on, s! cannot be divided into a float: never build it
+        term = x ** s / math.factorial(s) if s <= 170 else math.prod(
+            x / i for i in range(1, s + 1))
+    except OverflowError:  # x^s is past double range
         term = math.prod(x / i for i in range(1, s + 1))
     total = term * 0  # zero of the same numeric type as the terms
     for k in range(_MAX_TERMS):

@@ -2,12 +2,14 @@
 
 import json
 import math
+import runpy
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import jsonschema
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from catscope import ConditioningWarning, cli, coherent_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = json.loads((FIXTURES / "output_record.schema.json").read_text())
+CSV_FIXTURES = runpy.run_path(str(FIXTURES / "generate_goldens.py"))["CSV_FIXTURES"]
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -84,6 +87,22 @@ def test_g17_formats_each_bit_pattern_like_format(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     assert cli._g17(values) == [format(v, ".17g") for v in values.tolist()]
     assert cli._g17(values.reshape(-1, 1)) == cli._g17(values)
+
+
+@given(st.lists(st.tuples(*2 * [st.one_of(st.integers(0, 2 ** 64 - 1),
+                                         st.sampled_from(SPECIAL_BITS))]),
+                max_size=64))
+def test_complex_cells_render_each_bit_pair_like_format(pairs):
+    pairs = pairs + pairs[::2] + [pair[::-1] for pair in pairs[::3]]  # with repeats
+    bits = np.array(pairs, dtype=np.uint64).reshape(-1, 2)
+    values = bits.view(np.complex128)[:, 0]  # (re, im) bits as given
+    parts = bits.view(np.float64).tolist()
+    expected = ['{"re":%s,"im":%s}' % (format(re, ".17g"), format(im, ".17g"))
+                for re, im in parts]
+    assert cli._distinct_text(cli._JSON_COMPLEX.__mod__, values.real,
+                              values.imag) == expected
+    if pairs:  # a payload array is never empty
+        assert cli.dumps_record(values) == "[" + ",".join(expected) + "]"
 
 
 def _oracle_c(value) -> dict:
@@ -248,6 +267,22 @@ def test_lemma_verdicts(n, m, s, expected, matches):
     assert record["payload"]["matches_delta"] is matches
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 2 ** 19])
+def test_lemma_verdict_holds_at_the_largest_n(r, capsys):
+    # the rounding error of the 2^20-term sum passes 1e-12 (2.1e-11 at r = 2)
+    n = 2 ** 20
+    assert cli.main(["lemma", "--n", str(n), "--m", str(r + 1), "--s", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["expected"] == 0 and payload["matches_delta"] is True
+    # the verdict still tells a sum of 0 from one of n
+    assert cli.LEMMA_TOLERANCE <= cli._lemma_tolerance(n, r) < 1e-4 < n / 2
+
+
+def test_lemma_tolerance_is_the_fixed_one_where_terms_are_exact():
+    assert cli._lemma_tolerance(2 ** 20, 0) == cli.LEMMA_TOLERANCE
+    assert all(cli._lemma_tolerance(4, r) == cli.LEMMA_TOLERANCE for r in range(4))
+
+
 def test_gates_n2_residuals_tiny():
     proc = run_cli("gates", "--n", "2")
     assert proc.returncode == 0, proc.stderr
@@ -321,9 +356,23 @@ def test_overlap_closed_form_is_circulant(n):
     for k in range(n):
         for l in range(n):
             assert closed[k, l] == closed[0, (l - k) % n]
+            assert fock[k, l] == fock[0, (l - k) % n]
             diff = closed[k, l] - fock[k, l]
             assert math.hypot(diff.real, diff.imag) < 1e-12
     assert payload["max_abs_difference"] < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.5j, 0.7 + 0.2j, 2 - 1j, 4 + 2j, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_overlap_fock_matches_mpmath_oracle(n, alpha):
+    # <w2^k alpha|w2^l alpha> = exp(|alpha|^2 (w2^(l-k) - 1)) at 40 digits
+    payload, _ = cli.cmd_overlap(n, alpha, 1e-14)
+    with mp.workdps(40):
+        lam = abs(mp.mpc(alpha)) ** 2
+        row = [mp.exp(lam * (mp.expjpi(mp.mpf(2 * d) / n) - 1)) for d in range(n)]
+        worst = max(abs(mp.mpc(complex(payload["fock"][k, l])) - row[(l - k) % n])
+                    for k in range(n) for l in range(n))
+    assert worst <= 1e-14
 
 
 # ---------------------------------------------------------------- CSV format
@@ -349,13 +398,7 @@ def test_csv_headers_fixed_per_command():
         assert proc.stdout.splitlines()[0] == header
 
 
-@pytest.mark.parametrize("name,args", [
-    ("basis_n3_alpha1.csv", ("basis", "--n", "3", "--alpha", "1+0i")),
-    ("overlap_n3_alpha0.7+0.2i.csv", ("overlap", "--n", "3", "--alpha", "0.7+0.2i")),
-    ("modexp_n3_s1_x2+1i.csv", ("modexp", "--n", "3", "--s", "1", "--x", "2+1i")),
-    ("lemma_n4_m1_s0.csv", ("lemma", "--n", "4", "--m", "1", "--s", "0")),
-    ("gates_n3.csv", ("gates", "--n", "3")),
-])
+@pytest.mark.parametrize("name,args", list(CSV_FIXTURES.items()))
 def test_csv_matches_fixture_byte_for_byte(name, args):
     proc = run_cli_bytes(*args, "--format", "csv")
     assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import time
 
 import mpmath as mp
 import pytest
@@ -144,12 +145,22 @@ def test_one_pass_kernel_matches_series(n, x):
 
 
 @pytest.mark.parametrize("s", [170, 171, 199])
-@pytest.mark.parametrize("x", [1.0, 50.0, 1 + 0j, 3 - 2j])
+@pytest.mark.parametrize("x", [1.0, 50.0, 1 + 0j, 3 - 2j, 50, -3])
 def test_series_residue_past_factorial_overflow_matches_kernel(s, x):
-    # 171! and 50^199 are past double range; f_s itself is not
+    # 171! and 50^199 are past double range; f_s itself is not.  An int x makes
+    # x^s / s! an exact int division that need not overflow at all.
     series = modexp_series(ModExpSpec(200, s), x)
     expected = modexp_all(200, x)[s]
     assert abs(series - expected) <= 1e-13 * abs(expected)
+
+
+def test_series_residue_far_past_factorial_overflow_is_fast():
+    # s! is never built past s = 170; building 1048575! alone takes seconds
+    n = 2 ** 20
+    start = time.perf_counter()
+    series = modexp_series(ModExpSpec(n, n - 1), 1.0)
+    assert time.perf_counter() - start < 5.0
+    assert series == modexp_all(n, 1.0)[n - 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
