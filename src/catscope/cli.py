@@ -8,9 +8,8 @@ the output record and the CSV rendering are all built from it.
 Output goes to stdout (or the --out file) as JSON by default or CSV with
 --format csv; diagnostics, library warnings included, go to stderr.
 Serialization is deterministic: fixed key order, floats rendered with 17
-significant digits (``.17g``) so values round-trip exactly.  The state and
-overlap arrays stay ndarrays and are rendered in bulk, each distinct cell once;
-the overlap tables are circulant, n distinct cells among n^2.
+significant digits (``.17g``) so values round-trip exactly.  Arrays are rendered
+in bulk, each distinct cell once; CSV goes out in blocks of lines as they are made.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
@@ -18,8 +17,11 @@ Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -29,9 +31,9 @@ import numpy as np
 
 from . import __version__
 from .fock import coherent_overlap_closed, truncation_dim
-from .gates import (clock_matrix, shift_matrix, unitarity_residual,
-                    verify_clock_shift_decomposition, weyl_commutation,
-                    weyl_phase_root_residual)
+from .gates import (_root_residual, clock_matrix, shift_matrix,
+                    unitarity_residual, verify_clock_shift_decomposition,
+                    weyl_commutation)
 from .kaleidoscope import (dft_matrix, gram, kaleidoscope_basis,
                            roots_lemma_sum, rotated_coherent_states)
 from .modexp import ModExpSpec, _roots, modexp_roots, modexp_series
@@ -122,8 +124,8 @@ def _to_json(value, out: list) -> None:
     elif isinstance(value, np.ndarray):  # complex, 1-D or 2-D: {"re","im"} items
         width = value.shape[-1]
         items = _distinct_text(_JSON_COMPLEX.__mod__, value.real, value.imag)
-        text = ",".join(["[" + ",".join(items[i:i + width]) + "]"
-                         for i in range(0, len(items), width)])
+        text = ",".join(["[" + ",".join(items[i * width:(i + 1) * width]) + "]"
+                         for i in range(math.prod(value.shape[:-1]))])
         out.append(text if value.ndim == 1 else "[" + text + "]")
     elif value is None:
         out.append("null")
@@ -139,7 +141,7 @@ def dumps_record(record: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSV rendering: a fixed header per command, then its rows, each a tuple of str
+# CSV rendering: a fixed header per command, then its rows in blocks of lines
 
 
 def _one_row(params: dict, payload: dict):
@@ -152,33 +154,37 @@ def _one_row(params: dict, payload: dict):
             row.append("%.17g" % value)
         else:  # an int, or a bool rendered as true/false
             row.append(str(value).lower())
-    yield tuple(row)
-
-
-def _index_keys(rows: int, cols: int) -> list:
-    tails = [f",{j}" for j in range(cols)]
-    return [str(i) + tail for i in range(rows) for tail in tails]
+    yield ",".join(row) + "\n"
 
 
 def _basis_rows(params: dict, payload: dict):
     states = payload["states"]
-    return zip(_index_keys(*states.shape), _g17(states.real), _g17(states.imag))
+    dim = states.shape[1]
+    tails = [f",{level}," for level in range(dim)]
+    re, im = _g17(states.real), _g17(states.imag)
+    for k in range(len(states)):
+        head, cells = str(k), slice(k * dim, (k + 1) * dim)
+        yield "".join([f"{head}{tail}{r},{i}\n"
+                       for tail, r, i in zip(tails, re[cells], im[cells])])
 
 
-def _overlap_cell(cell: tuple) -> str:  # (closed_re, closed_im, fock_re, fock_im)
+def _overlap_cell(closed: complex, fock: complex) -> str:
     # math.hypot, not np.hypot: the two differ in the last bit on some inputs
-    diff = math.hypot(cell[0] - cell[2], cell[1] - cell[3])
-    return "%.17g,%.17g,%.17g,%.17g,%.17g" % (*cell, diff)
+    diff = math.hypot(closed.real - fock.real, closed.imag - fock.imag)
+    return "%.17g,%.17g,%.17g,%.17g,%.17g\n" % (closed.real, closed.imag,
+                                                fock.real, fock.imag, diff)
 
 
 def _overlap_rows(params: dict, payload: dict):
-    closed, fock = payload["closed_form"], payload["fock"]
-    return zip(_index_keys(*closed.shape), _distinct_text(
-        _overlap_cell, closed.real, closed.imag, fock.real, fock.imag))
-
-
-def _render_csv(header: str, rows) -> str:
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
+    # cmd_overlap lays both tables out as circulants: row k is row 0 rotated right by k
+    cells = list(map(_overlap_cell, payload["closed_form"][0].tolist(),
+                     payload["fock"][0].tolist()))
+    n = len(cells)
+    tails = [f",{l}," for l in range(n)]
+    for k in range(n):
+        head = str(k)
+        yield "".join([f"{head}{tail}{cell}"
+                       for tail, cell in zip(tails, cells[n - k:] + cells[:n - k])])
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +237,7 @@ def cmd_gates(n: int):
         "decomposition_residual": verify_clock_shift_decomposition(n),
         "weyl_phase": phase,
         "weyl_residual": weyl_residual,
-        "weyl_root_residual": weyl_phase_root_residual(n),
+        "weyl_root_residual": _root_residual(phase, n),
     }
     residuals = [payload["unitarity_dft"], payload["unitarity_clock"],
                  payload["unitarity_shift"], payload["decomposition_residual"],
@@ -267,7 +273,7 @@ class Command(NamedTuple):
     eps: bool  # takes --eps, the Poisson tail budget of the Fock truncation
     max_n: int  # the largest n taken, checked before anything is allocated
     csv_header: str
-    csv_rows: Callable  # (params, payload) -> one tuple of str per CSV row
+    csv_rows: Callable  # (params, payload) -> blocks of finished CSV lines
 
 
 _N = ("n", int, None)
@@ -351,20 +357,21 @@ def main(argv=None) -> int:
         warnings.formatwarning = formatwarning
 
     if args.format == "json":
-        text = dumps_record({"command": args.command, "params": values,
-                             "payload": payload, "tool_version": __version__}) + "\n"
+        parts = [dumps_record({"command": args.command, "params": values,
+                               "payload": payload, "tool_version": __version__}) + "\n"]
     else:
-        text = _render_csv(command.csv_header, command.csv_rows(values, payload))
+        parts = itertools.chain([command.csv_header + "\n"],
+                                command.csv_rows(values, payload))
 
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    try:
+        with (open(args.out, "w", encoding="utf-8") if args.out
+              else contextlib.nullcontext(sys.stdout)) as handle:
+            handle.writelines(parts)
+    except BrokenPipeError:  # the reader left early (`| head`): devnull takes the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -74,7 +74,10 @@ def weyl_commutation(n: int) -> tuple[complex, float]:
     return phase, residual
 
 
+def _root_residual(phase: complex, n: int) -> float:
+    return abs(phase ** n - 1.0)
+
+
 def weyl_phase_root_residual(n: int) -> float:
     """Distance of the empirical Weyl phase from being an exact n-th root of unity."""
-    phase, _ = weyl_commutation(n)
-    return abs(phase ** n - 1.0)
+    return _root_residual(weyl_commutation(n)[0], n)
