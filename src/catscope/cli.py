@@ -1,8 +1,8 @@
 """Command-line front end: every library computation as a scriptable command.
 
 Subcommands: basis, modexp, lemma, gates, overlap.  The ``COMMANDS`` table is
-the single description of each one (its options, whether it takes --eps or
-its bound on n, its CSV header and rows); the parser, the dispatch to ``cmd_<name>``,
+the single description of each one (its options and their defaults, its
+bound on n, its CSV header and rows); the parser, the dispatch to ``cmd_<name>``,
 the output record and the CSV rendering are all built from it.
 
 Output goes to stdout (or the --out file) as JSON by default or CSV with
@@ -89,11 +89,6 @@ def _distinct_text(render, *columns) -> list:
     return np.array([render(tuple(c)) for c in cells], dtype=object)[inverse].tolist()
 
 
-def _g17(values) -> list:
-    """``"%.17g"`` of each float in ``values``, flattened in C order."""
-    return _distinct_text("%.17g".__mod__, values)
-
-
 def _to_json(value, out: list) -> None:
     if isinstance(value, bool):
         out.append("true" if value else "false")
@@ -127,8 +122,6 @@ def _to_json(value, out: list) -> None:
         text = ",".join(["[" + ",".join(items[i * width:(i + 1) * width]) + "]"
                          for i in range(math.prod(value.shape[:-1]))])
         out.append(text if value.ndim == 1 else "[" + text + "]")
-    elif value is None:
-        out.append("null")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -161,11 +154,11 @@ def _basis_rows(params: dict, payload: dict):
     states = payload["states"]
     dim = states.shape[1]
     tails = [f",{level}," for level in range(dim)]
-    re, im = _g17(states.real), _g17(states.imag)
+    cells = _distinct_text("%.17g,%.17g\n".__mod__, states.real, states.imag)
     for k in range(len(states)):
-        head, cells = str(k), slice(k * dim, (k + 1) * dim)
-        yield "".join([f"{head}{tail}{r},{i}\n"
-                       for tail, r, i in zip(tails, re[cells], im[cells])])
+        head = str(k)
+        yield "".join([f"{head}{tail}{cell}"
+                       for tail, cell in zip(tails, cells[k * dim:(k + 1) * dim])])
 
 
 def _overlap_cell(closed: complex, fock: complex) -> str:
@@ -239,10 +232,8 @@ def cmd_gates(n: int):
         "weyl_residual": weyl_residual,
         "weyl_root_residual": _root_residual(phase, n),
     }
-    residuals = [payload["unitarity_dft"], payload["unitarity_clock"],
-                 payload["unitarity_shift"], payload["decomposition_residual"],
-                 payload["weyl_residual"], payload["weyl_root_residual"]]
-    code = 0 if all(r < GATES_TOLERANCE for r in residuals) else 1
+    code = 0 if all(value < GATES_TOLERANCE for key, value in payload.items()
+                    if key != "weyl_phase") else 1
     return payload, code
 
 
@@ -269,37 +260,38 @@ def cmd_overlap(n: int, alpha: complex, eps: float):
 
 class Command(NamedTuple):
     help: str
-    params: tuple  # (name, int or complex, help) per required --name option
-    eps: bool  # takes --eps, the Poisson tail budget of the Fock truncation
+    params: tuple  # (name, type, help, default) per --name; default None: required
     max_n: int  # the largest n taken, checked before anything is allocated
     csv_header: str
     csv_rows: Callable  # (params, payload) -> blocks of finished CSV lines
 
 
-_N = ("n", int, None)
-_ALPHA = ("alpha", complex, "complex, e.g. 1+0i")
+_N = ("n", int, None, None)
+_ALPHA = ("alpha", complex, "complex, e.g. 1+0i", None)
+_EPS = ("eps", float, "Poisson tail budget for Fock truncation (default: %(default)s)",
+        1e-14)
 
 COMMANDS = {
     "basis": Command(
-        "build the n orthonormal cat states", (_N, _ALPHA), True, MAX_DENSE_N,
+        "build the n orthonormal cat states", (_N, _ALPHA, _EPS), MAX_DENSE_N,
         "state,level,re,im", _basis_rows),
     "modexp": Command(
         "evaluate f_s(x) mod n by series and by roots of unity",
-        (_N, ("s", int, None), ("x", complex, "complex or real argument")),
-        False, MAX_DENSE_N ** 2,
+        (_N, ("s", int, None, None), ("x", complex, "complex or real argument", None)),
+        MAX_DENSE_N ** 2,
         "n,s,x_re,x_im,series_re,series_im,roots_re,roots_im,abs_difference",
         _one_row),
     "lemma": Command(
         "direct root-of-unity sum and its n*delta verdict",
-        (_N, ("m", int, None), ("s", int, None)), False, MAX_DENSE_N ** 2,
+        (_N, ("m", int, None, None), ("s", int, None, None)), MAX_DENSE_N ** 2,
         "n,m,s,sum_re,sum_im,expected,matches_delta", _one_row),
     "gates": Command(
         "clock/shift unitarity, Fourier decomposition and Weyl commutation "
-        "residuals", (_N,), False, MAX_DENSE_N,
+        "residuals", (_N,), MAX_DENSE_N,
         "n,unitarity_dft,unitarity_clock,unitarity_shift,decomposition_residual,"
         "weyl_phase_re,weyl_phase_im,weyl_residual,weyl_root_residual", _one_row),
     "overlap": Command(
-        "rotated-state overlap table, closed form vs Fock", (_N, _ALPHA), True,
+        "rotated-state overlap table, closed form vs Fock", (_N, _ALPHA, _EPS),
         MAX_DENSE_N,
         "k,l,closed_re,closed_im,fock_re,fock_im,abs_difference", _overlap_rows),
 }
@@ -317,15 +309,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default: json)")
-        if command.eps:
-            p.add_argument("--eps", type=float, default=1e-14,
-                           help="Poisson tail budget for Fock truncation "
-                                "(default: 1e-14)")
         p.add_argument("--out", metavar="FILE",
                        help="write the payload to FILE instead of stdout")
-        for param, kind, help_text in command.params:
-            p.add_argument(f"--{param}", type=int if kind is int else str,
-                           required=True, help=help_text)
+        for param, kind, help_text, default in command.params:
+            p.add_argument(f"--{param}", type=str if kind is complex else kind,
+                           required=default is None, default=default, help=help_text)
     return parser
 
 
@@ -343,11 +331,9 @@ def main(argv=None) -> int:
     warnings.formatwarning = _format_warning
     try:
         values = {name: parse_complex(getattr(args, name)) if kind is complex
-                  else getattr(args, name) for name, kind, _ in command.params}
+                  else getattr(args, name) for name, kind, *_ in command.params}
         if values["n"] > command.max_n:
             raise ValueError(f"n must be <= {command.max_n}, got {values['n']}")
-        if command.eps:
-            values["eps"] = args.eps
         # by module attribute, so a replaced cmd_* is the one called
         payload, code = globals()[f"cmd_{args.command}"](**values)
     except (ValueError, ArithmeticError) as exc:

@@ -54,14 +54,12 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
         ``exp(-|alpha|^2 / 2) * alpha^m / sqrt(m!)``.  The squared norm is
         at most 1; the deficit equals the truncated Poisson tail weight.
     """
-    alpha = _check_alpha(alpha)
     if dim < 1:
         raise ValueError(f"truncation dimension must be >= 1, got {dim}")
     lam = _intensity(alpha)
     factors = np.empty(dim, dtype=complex)
     factors[0] = math.exp(-lam / 2.0)
-    if dim > 1:
-        factors[1:] = alpha / np.sqrt(np.arange(1, dim))
+    factors[1:] = alpha / np.sqrt(np.arange(1, dim))
     return np.cumprod(factors)
 
 
@@ -117,8 +115,7 @@ def annihilate(v: FockVector) -> FockVector:
     v = np.asarray(v, dtype=complex)
     dim = v.shape[0]
     out = np.zeros(dim, dtype=complex)
-    if dim > 1:
-        out[:-1] = np.sqrt(np.arange(1, dim)) * v[1:]
+    out[:-1] = np.sqrt(np.arange(1, dim)) * v[1:]
     return out
 
 
@@ -132,8 +129,7 @@ def create(v: FockVector) -> FockVector:
     v = np.asarray(v, dtype=complex)
     dim = v.shape[0]
     out = np.zeros(dim, dtype=complex)
-    if dim > 1:
-        out[1:] = np.sqrt(np.arange(1, dim)) * v[:-1]
+    out[1:] = np.sqrt(np.arange(1, dim)) * v[:-1]
     return out
 
 
@@ -157,8 +153,6 @@ def truncation_dim(alpha: complex, eps: float) -> int:
     lam = _intensity(alpha)
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if lam == 0.0:
-        return 1
 
     # Poisson weights p_m = exp(-lam) lam^m / m!, kept while m <= lam or
     # p_m >= eps * 1e-8, then suffix-summed smallest-first so the tiny tails

@@ -110,14 +110,14 @@ def cat_states_raw(n: int, alpha: complex, dim: int) -> np.ndarray:
     """Unnormalized cat states: DFT rows applied to the rotated coherent states.
 
     The k-th row is ``(1/sqrt(n)) * sum_j w^(j*k) |w2^j alpha>`` on ``dim``
-    Fock levels: the DFT gate applied to :func:`rotated_coherent_states`.
-    Its squared norm is ``n * exp(-|alpha|^2) * f_k(|alpha|^2)`` and its
-    support lies on Fock levels congruent to k mod n.
+    Fock levels: :func:`dft_matrix` applied to :func:`rotated_coherent_states`
+    as an FFT, whose ``exp(-2*pi*1j*j*k/n)`` is ``w^(j*k)``.  Its squared norm is
+    ``n * exp(-|alpha|^2) * f_k(|alpha|^2)``; it lies on levels congruent to k mod n.
 
     Returns:
         (n, dim) complex array, one raw state per row.
     """
-    return dft_matrix(n) @ rotated_coherent_states(n, alpha, dim)
+    return np.fft.fft(rotated_coherent_states(n, alpha, dim), axis=0) / math.sqrt(n)
 
 
 def normalization_constants(n: int, alpha: complex) -> np.ndarray:

@@ -95,30 +95,29 @@ def _check_finite(x: complex) -> complex:
 def modexp_series(spec: ModExpSpec, x: complex) -> complex:
     """Evaluate f_s(x) by summing the defining series.
 
-    Terms are generated by the recurrence
-    ``t_{k+1} = t_k * x^n / ((n*k+s+1) * ... * (n*k+s+n))`` and summed until
-    the next term drops below ``1e-18`` of the partial sum.
+    Each term ``x^m/m!`` is the one before times ``x/m``, from ``x^0/0!``, so a
+    term overflows only where it is itself past double range.  Terms ``m = s + n*k``
+    are summed until the next one drops below ``1e-18`` of the partial sum.  A
+    scalar loop: the reference :func:`modexp_all` is tested against.
 
     Raises:
-        SeriesCapError: if a term overflows double precision, or the hard
-            term cap is exhausted before convergence.
+        SeriesCapError: if a term or the sum overflows double precision, or
+            the hard term cap is exhausted before convergence.
     """
     x = _check_finite(x)
     n, s = spec.n, spec.s
-    try:  # from s = 171 on, s! cannot be divided into a float: never build it
-        term = x ** s / math.factorial(s) if s <= 170 else math.prod(
-            x / i for i in range(1, s + 1))
-    except OverflowError:  # x^s is past double range
-        term = math.prod(x / i for i in range(1, s + 1))
-    total = term * 0  # zero of the same numeric type as the terms
+    term = x ** 0 / 1  # x^0/0!, of the numeric type of the terms
+    for m in range(1, s + 1):
+        term = term * (x / m)
+    total = term * 0
     for k in range(_MAX_TERMS):
         total += term
         for i in range(1, n + 1):
-            term = term * x / (n * k + s + i)
+            term = term * (x / (n * k + s + i))
+        if not (cmath.isfinite(term) and cmath.isfinite(total)):
+            raise _range_error(n, x)
         if abs(term) < max(_REL_TOL * abs(total), _ABS_FLOOR):
             return total
-        if not cmath.isfinite(term):
-            raise _range_error(n, x)
     raise SeriesCapError(
         f"f_{s} (mod {n}) did not converge within {_MAX_TERMS} terms at x={x!r}")
 

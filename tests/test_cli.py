@@ -87,8 +87,9 @@ SPECIAL_BITS = [0x0, 0x8000000000000000, 0x1, 0x800FFFFFFFFFFFFF,
 def test_g17_formats_each_bit_pattern_like_format(bits):
     bits = bits + bits[::2]  # repeated patterns share one formatted string
     values = np.array(bits, dtype=np.uint64).view(np.float64)
-    assert cli._g17(values) == [format(v, ".17g") for v in values.tolist()]
-    assert cli._g17(values.reshape(-1, 1)) == cli._g17(values)
+    text = cli._distinct_text("%.17g".__mod__, values)
+    assert text == [format(v, ".17g") for v in values.tolist()]
+    assert cli._distinct_text("%.17g".__mod__, values.reshape(-1, 1)) == text
 
 
 @given(st.lists(st.tuples(*2 * [st.one_of(st.integers(0, 2 ** 64 - 1),
@@ -312,7 +313,18 @@ def test_modexp_takes_residue_past_factorial_overflow(capsys):
     assert json.loads(captured.out)["payload"]["series"] == {"re": 0, "im": 0}
 
 
-@pytest.mark.parametrize("x", ["709", "715", "800", "1e5", "800i", "-800"])
+@pytest.mark.parametrize("x", [707.5, 708.0, 709.0, 709.7])
+def test_modexp_in_double_range_exits_0(x, capsys):
+    # e^x is finite up to x = 709.78, and every series term below it
+    assert cli.main(["modexp", "--n", "1", "--s", "0", f"--x={x!r}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    series = json.loads(captured.out)["payload"]["series"]
+    assert series["im"] == 0
+    assert abs(series["re"] - math.exp(x)) <= 1e-14 * math.exp(x)
+
+
+@pytest.mark.parametrize("x", ["715", "800", "1e5", "800i", "-800"])
 def test_modexp_past_double_range_exits_2(x, capsys):
     assert cli.main(["modexp", "--n", "1", "--s", "0", f"--x={x}"]) == 2
     captured = capsys.readouterr()

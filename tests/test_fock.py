@@ -69,10 +69,12 @@ def test_norm_alpha_one_dim32():
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_amplitudes_match_direct_evaluation(alpha):
-    dim = 40
-    v = coherent_state(alpha, dim)
-    for m in (0, 1, 2, 7, 20, 39):
-        assert v[m] == pytest.approx(coherent_amp_oracle(alpha, m), abs=1e-15)
+    for dim in (1, 40):
+        v = coherent_state(alpha, dim)
+        assert v.shape == (dim,)
+        for m in (0, 1, 2, 7, 20, 39):
+            if m < dim:
+                assert v[m] == pytest.approx(coherent_amp_oracle(alpha, m), abs=1e-15)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -186,8 +188,8 @@ def test_rotated_overlap_rejects_out_of_range_vertices():
 
 
 def test_annihilate_vacuum_is_zero():
-    np.testing.assert_array_equal(annihilate(np.array([1, 0, 0, 0], dtype=complex)),
-                                  np.zeros(4))
+    for dim in (0, 1, 4):
+        np.testing.assert_array_equal(annihilate(np.eye(1, dim)[0]), np.zeros(dim))
 
 
 def test_annihilate_single_photon():
@@ -212,8 +214,9 @@ def test_eigenstate_residual_within_tail_bound(alpha):
 
 
 def test_create_vacuum_gives_single_photon():
-    np.testing.assert_allclose(create(np.array([1, 0, 0, 0], dtype=complex)),
-                               [0, 1, 0, 0], atol=1e-15)
+    for dim in (0, 1, 4):  # at dim 1 the photon passes the truncation edge and is dropped
+        np.testing.assert_allclose(create(np.eye(1, dim)[0]), np.eye(1, dim, 1)[0],
+                                   atol=1e-15)
 
 
 def test_create_twice_gives_two_photon():

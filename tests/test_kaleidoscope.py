@@ -23,6 +23,7 @@ from catscope import (
     normalization_constants,
     raw_state_norm_sq_closed,
     roots_lemma_sum,
+    rotated_coherent_states,
     truncation_dim,
 )
 
@@ -115,6 +116,25 @@ def test_raw_matches_per_copy_construction(n, alpha):
                         for j in range(n)])
     np.testing.assert_allclose(cat_states_raw(n, alpha, dim), dft_matrix(n) @ rotated,
                                rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+@pytest.mark.parametrize("alpha", [1.0, 2.5j, -3.1 + 0.4j])
+def test_raw_fft_is_the_dft_gate(n, alpha):
+    # the FFT must keep dft_matrix's sign and scale convention
+    dim = max(truncation_dim(alpha, 1e-14), n)
+    np.testing.assert_allclose(cat_states_raw(n, alpha, dim),
+                               dft_matrix(n) @ rotated_coherent_states(n, alpha, dim),
+                               rtol=0, atol=1e-14)
+
+
+def test_raw_top_state_keeps_its_direction_when_ill_conditioned():
+    # f_15(0.04) ~ 1e-33 next to exp(0.04): the rounding of a dense DFT product
+    # turns this row (overlap 0.34 with the true state); the FFT's does not
+    with pytest.warns(ConditioningWarning):
+        basis = kaleidoscope_basis(16, 0.2)
+    raw = cat_states_raw(16, 0.2, basis.dim)[-1]
+    assert abs(inner_product(basis.states[-1], raw)) >= 0.9 * np.linalg.norm(raw)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
