@@ -2,8 +2,8 @@
 
 Subcommands: basis, modexp, lemma, gates, overlap.  The ``COMMANDS`` table is
 the single description of each one (its options and their defaults, its
-bound on n, its CSV header and rows); the parser, the dispatch to ``cmd_<name>``,
-the output record and the CSV rendering are all built from it.
+bound on n, its CSV writer of header and rows); the parser, the dispatch to
+``cmd_<name>``, the output record and the CSV rendering are all built from it.
 
 Output goes to stdout (or the --out file) as JSON by default or CSV with
 --format csv; diagnostics, library warnings included, go to stderr.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -134,23 +133,25 @@ def dumps_record(record: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CSV rendering: a fixed header per command, then its rows in blocks of lines
+# CSV rendering: each writer yields its header line, then its rows in blocks of lines
 
 
 def _one_row(params: dict, payload: dict):
-    """The params, then the payload values; a complex value gives two columns."""
-    row = []
-    for value in (*params.values(), *payload.values()):
+    """Header and row from one walk; a complex value gives <name>_re, <name>_im."""
+    header, row = [], []
+    for name, value in (*params.items(), *payload.items()):
         if isinstance(value, complex):
+            header += f"{name}_re", f"{name}_im"
             row += "%.17g" % value.real, "%.17g" % value.imag
-        elif isinstance(value, float):
-            row.append("%.17g" % value)
-        else:  # an int, or a bool rendered as true/false
-            row.append(str(value).lower())
-    yield ",".join(row) + "\n"
+        else:  # a float, an int, or a bool rendered as true/false
+            header.append(name)
+            row.append("%.17g" % value if isinstance(value, float)
+                       else str(value).lower())
+    yield f"{','.join(header)}\n{','.join(row)}\n"
 
 
 def _basis_rows(params: dict, payload: dict):
+    yield "state,level,re,im\n"
     states = payload["states"]
     dim = states.shape[1]
     tails = [f",{level}," for level in range(dim)]
@@ -169,6 +170,7 @@ def _overlap_cell(closed: complex, fock: complex) -> str:
 
 
 def _overlap_rows(params: dict, payload: dict):
+    yield "k,l,closed_re,closed_im,fock_re,fock_im,abs_difference\n"
     # cmd_overlap lays both tables out as circulants: row k is row 0 rotated right by k
     cells = list(map(_overlap_cell, payload["closed_form"][0].tolist(),
                      payload["fock"][0].tolist()))
@@ -190,7 +192,7 @@ def cmd_basis(n: int, alpha: complex, eps: float):
     payload = {
         "dim": basis.dim,
         "states": basis.states,
-        "norm_constants": [float(c) for c in basis.norm_constants],
+        "norm_constants": basis.norm_constants.tolist(),
         "gram_max_deviation": report.max_deviation,
     }
     return payload, 0
@@ -243,6 +245,7 @@ def cmd_overlap(n: int, alpha: complex, eps: float):
     # <w2^k alpha|w2^l alpha> depends only on (l - k) mod n, so both tables are
     # circulant: their rows k = 0, n inner products each, laid out by one index table
     fock = rotated[0].conj() @ rotated.T
+    # Python's scalar complex multiply, not numpy's: the overlap CSV fixture pins it
     closed = np.array([coherent_overlap_closed(alpha, w * alpha) for w in _roots(n)])
     circulant = (np.arange(n) - np.arange(n)[:, None]) % n  # (l - k) mod n at (k, l)
     payload = {
@@ -262,8 +265,7 @@ class Command(NamedTuple):
     help: str
     params: tuple  # (name, type, help, default) per --name; default None: required
     max_n: int  # the largest n taken, checked before anything is allocated
-    csv_header: str
-    csv_rows: Callable  # (params, payload) -> blocks of finished CSV lines
+    csv_rows: Callable  # (params, payload) -> the header line, then blocks of CSV lines
 
 
 _N = ("n", int, None, None)
@@ -274,26 +276,21 @@ _EPS = ("eps", float, "Poisson tail budget for Fock truncation (default: %(defau
 COMMANDS = {
     "basis": Command(
         "build the n orthonormal cat states", (_N, _ALPHA, _EPS), MAX_DENSE_N,
-        "state,level,re,im", _basis_rows),
+        _basis_rows),
     "modexp": Command(
         "evaluate f_s(x) mod n by series and by roots of unity",
         (_N, ("s", int, None, None), ("x", complex, "complex or real argument", None)),
-        MAX_DENSE_N ** 2,
-        "n,s,x_re,x_im,series_re,series_im,roots_re,roots_im,abs_difference",
-        _one_row),
+        MAX_DENSE_N ** 2, _one_row),
     "lemma": Command(
         "direct root-of-unity sum and its n*delta verdict",
         (_N, ("m", int, None, None), ("s", int, None, None)), MAX_DENSE_N ** 2,
-        "n,m,s,sum_re,sum_im,expected,matches_delta", _one_row),
+        _one_row),
     "gates": Command(
         "clock/shift unitarity, Fourier decomposition and Weyl commutation "
-        "residuals", (_N,), MAX_DENSE_N,
-        "n,unitarity_dft,unitarity_clock,unitarity_shift,decomposition_residual,"
-        "weyl_phase_re,weyl_phase_im,weyl_residual,weyl_root_residual", _one_row),
+        "residuals", (_N,), MAX_DENSE_N, _one_row),
     "overlap": Command(
         "rotated-state overlap table, closed form vs Fock", (_N, _ALPHA, _EPS),
-        MAX_DENSE_N,
-        "k,l,closed_re,closed_im,fock_re,fock_im,abs_difference", _overlap_rows),
+        MAX_DENSE_N, _overlap_rows),
 }
 
 
@@ -346,8 +343,7 @@ def main(argv=None) -> int:
         parts = [dumps_record({"command": args.command, "params": values,
                                "payload": payload, "tool_version": __version__}) + "\n"]
     else:
-        parts = itertools.chain([command.csv_header + "\n"],
-                                command.csv_rows(values, payload))
+        parts = command.csv_rows(values, payload)
 
     try:
         with (open(args.out, "w", encoding="utf-8") if args.out

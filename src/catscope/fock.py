@@ -137,7 +137,7 @@ def creation_dropped_weight(v: FockVector) -> float:
     """Squared norm of the amplitude :func:`create` discards at the top level."""
     v = np.asarray(v, dtype=complex)
     dim = v.shape[0]
-    return dim * abs(v[dim - 1]) ** 2
+    return dim * abs(v[dim - 1]) ** 2 if dim else 0.0  # dim 0: nothing passes the edge
 
 
 def truncation_dim(alpha: complex, eps: float) -> int:
@@ -154,16 +154,11 @@ def truncation_dim(alpha: complex, eps: float) -> int:
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
-    # Poisson weights p_m = exp(-lam) lam^m / m!, kept while m <= lam or
-    # p_m >= eps * 1e-8, then suffix-summed smallest-first so the tiny tails
-    # are not lost to cancellation.  Since m! >= (m/e)^m, every m >= e^2 lam
-    # has p_m <= exp(-m), so the stopping index lies below count.
-    threshold = eps * 1e-8
-    count = int(max(math.e ** 2 * lam, -math.log(max(threshold, 5e-324)))) + 2
-    weights = _exp_terms(math.exp(-lam), lam, count)
-    first = int(lam) + 1  # the lowest level above lam
-    below = np.flatnonzero(weights[first:] < threshold)
-    stop = first + below[0] if below.size else count
-    tails = np.cumsum(weights[stop - 1::-1])
+    # The one cut-off: Poisson weights p_m = exp(-lam) lam^m / m! for m < count.
+    # Since m! >= (m/e)^m, every m >= e^2 lam has p_m <= exp(-m), so the weights
+    # past count sum to below eps * 1e-8 (or 5e-324), far below eps.  They are
+    # suffix-summed smallest-first so the tiny tails are not lost to cancellation.
+    count = int(max(math.e ** 2 * lam, -math.log(max(eps * 1e-8, 5e-324)))) + 2
+    tails = np.cumsum(_exp_terms(math.exp(-lam), lam, count)[::-1])
     # every level d whose tail weight reaches eps lies below the answer
     return max(int(np.count_nonzero(tails >= eps)), 1)

@@ -235,7 +235,6 @@ def raw_state_norm_sq_closed(n: int, alpha: complex, k: int) -> float:
     :func:`normalization_constants`, it rejects ``|alpha|^2 > 700``; at a
     degenerate alpha it underflows to a subnormal or 0.0, never nan or inf.
     """
-    if not 0 <= k < n:
-        raise ValueError(f"state index must lie in [0, {n}), got {k}")
+    spec = ModExpSpec(n, k)  # rejects n < 1 and k outside [0, n)
     lam = _intensity(alpha)
-    return n * math.exp(-lam) * modexp_series(ModExpSpec(n, k), lam)
+    return n * math.exp(-lam) * modexp_series(spec, lam)

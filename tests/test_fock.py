@@ -214,9 +214,11 @@ def test_eigenstate_residual_within_tail_bound(alpha):
 
 
 def test_create_vacuum_gives_single_photon():
-    for dim in (0, 1, 4):  # at dim 1 the photon passes the truncation edge and is dropped
+    for dim, dropped in ((0, 0.0), (1, 1.0), (4, 0.0)):
+        # at dim 1 the photon passes the truncation edge and is dropped
         np.testing.assert_allclose(create(np.eye(1, dim)[0]), np.eye(1, dim, 1)[0],
                                    atol=1e-15)
+        assert creation_dropped_weight(np.eye(1, dim)[0]) == dropped
 
 
 def test_create_twice_gives_two_photon():
@@ -274,8 +276,10 @@ def test_truncation_dim_alpha_two_frozen():
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 8.0, 16.0,
-                                   26.0, 1 + 1j])
-@pytest.mark.parametrize("eps", [1e-3, 1e-8, 1e-12, 1e-14, 1e-16])
+                                   20.0, 26.0, 1 + 1j])
+# at (20, 0.999999) the answer needs weights below eps * 1e-8; at 1e-320 that underflows
+@pytest.mark.parametrize("eps", [0.5, 0.999999, 1e-3, 1e-8, 1e-12, 1e-14, 1e-16,
+                                 1e-300, 1e-320])
 def test_truncation_dim_matches_tail_oracle(alpha, eps):
     d = truncation_dim(alpha, eps)
     assert poisson_tail_oracle(alpha, d) < eps

@@ -180,6 +180,16 @@ def test_closed_norm_rejects_alpha_past_double_range_like_the_constants(alpha, l
         raw_state_norm_sq_closed(2, alpha, 0)
 
 
+@pytest.mark.parametrize("n,k,message", [
+    (3, 3, "residue s must lie in [0, 3), got 3"),
+    (3, -1, "residue s must lie in [0, 3), got -1"),
+    (0, 0, "n must be >= 1, got 0"),
+])
+def test_closed_norm_rejects_index_like_modexp_spec(n, k, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        raw_state_norm_sq_closed(n, 1.0, k)
+
+
 def test_constants_degenerate_alpha():
     with pytest.raises(DegenerateAlpha):
         normalization_constants(2, 0.0)
