@@ -27,7 +27,6 @@ from .gates import (
     unitarity_residual,
     verify_clock_shift_decomposition,
     weyl_commutation,
-    weyl_phase_root_residual,
 )
 from .kaleidoscope import (
     ConditioningWarning,
@@ -85,6 +84,5 @@ __all__ = [
     "unitarity_residual",
     "verify_clock_shift_decomposition",
     "weyl_commutation",
-    "weyl_phase_root_residual",
     "__version__",
 ]

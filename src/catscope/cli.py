@@ -4,12 +4,15 @@ Subcommands: basis, modexp, lemma, gates, overlap.  The ``COMMANDS`` table is
 the single description of each one (its options and their defaults, its
 bound on n, its CSV writer of header and rows); the parser, the dispatch to
 ``cmd_<name>``, the output record and the CSV rendering are all built from it.
+An argv that starts with a command name is parsed in one pass, by that
+command's own parser; the top-level parser still rejects what it leaves over.
 
 Output goes to stdout (or the --out file) as JSON by default or CSV with
 --format csv; diagnostics, library warnings included, go to stderr.
 Serialization is deterministic: fixed key order, floats rendered with 17
 significant digits (``.17g``) so values round-trip exactly.  Arrays are rendered
-in bulk, each distinct cell once; CSV goes out in blocks of lines as they are made.
+in bulk, each distinct cell once.  CSV goes out in blocks of lines as they are
+made; a table row is one list of slots, joined once.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
@@ -18,21 +21,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .fock import coherent_overlap_closed, truncation_dim
-from .gates import (_root_residual, clock_matrix, shift_matrix,
-                    unitarity_residual, verify_clock_shift_decomposition,
-                    weyl_commutation)
+from .gates import (_permutation_unitarity, _root_residual, clock_matrix,
+                    shift_matrix, unitarity_residual,
+                    verify_clock_shift_decomposition, weyl_commutation)
 from .kaleidoscope import (dft_matrix, gram, kaleidoscope_basis,
                            roots_lemma_sum, rotated_coherent_states)
 from .modexp import ModExpSpec, _roots, modexp_roots, modexp_series
@@ -69,6 +72,22 @@ def parse_complex(text: str) -> complex:
 # Deterministic serialization
 
 
+def _distinct_cells(columns) -> tuple:
+    """The distinct cells of ``columns`` as float tuples, and each place's index among them.
+
+    Returning drops the sort's arrays before the caller's gather: at n = 1024
+    that keeps tens of MB off the peak RSS of an overlap record.
+    """
+    bits = [np.asarray(c, float).ravel().view(np.uint64) for c in columns]
+    order = np.lexsort(bits)  # equal cells end up next to each other
+    ranked = [column[order] for column in bits]
+    first = np.ones(order.size, dtype=bool)  # the first cell of each run
+    first[1:] = np.any([column[1:] != column[:-1] for column in ranked], axis=0)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return zip(*[column[first].view(float).tolist() for column in ranked]), inverse
+
+
 def _distinct_text(render, *columns) -> list:
     """``render(cell)`` of each cell, the tuple of the ``columns``' floats at one place.
 
@@ -77,15 +96,8 @@ def _distinct_text(render, *columns) -> list:
     by their bits, not their values, so -0.0 and 0.0, and nans with different
     payloads, keep their own text.
     """
-    bits = np.array([np.asarray(c, float).ravel().view(np.uint64) for c in columns])
-    order = np.lexsort(bits)  # equal cells end up next to each other
-    ranked = bits[:, order]
-    first = np.ones(ranked.shape[1], dtype=bool)  # the first cell of each run
-    first[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
-    cells = ranked[:, first].T.view(float).tolist()
-    return np.array([render(tuple(c)) for c in cells], dtype=object)[inverse].tolist()
+    cells, inverse = _distinct_cells(columns)
+    return np.array([render(cell) for cell in cells], dtype=object)[inverse].tolist()
 
 
 def _to_json(value, out: list) -> None:
@@ -98,13 +110,13 @@ def _to_json(value, out: list) -> None:
     elif isinstance(value, complex):
         out.append(_JSON_COMPLEX % (value.real, value.imag))
     elif isinstance(value, str):
-        out.append(json.dumps(value))
+        out.append(encode_basestring_ascii(value))  # json.dumps(str) with its defaults
     elif isinstance(value, dict):
         out.append("{")
         for i, (key, item) in enumerate(value.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(key)))
+            out.append(encode_basestring_ascii(str(key)))
             out.append(":")
             _to_json(item, out)
         out.append("}")
@@ -150,16 +162,27 @@ def _one_row(params: dict, payload: dict):
     yield f"{','.join(header)}\n{','.join(row)}\n"
 
 
+def _table_rows(rows, width: int):
+    """One block of lines ``k,l,<cell>`` per row k; each cell ends its own line.
+
+    A single list holds a row: its ``k``, ``,l,`` and cell slots are filled by
+    slice assignment and the list is joined once.
+    """
+    line = [""] * (3 * width)
+    line[1::3] = [f",{l}," for l in range(width)]
+    for k, cells in enumerate(rows):
+        line[::3] = [str(k)] * width
+        line[2::3] = cells
+        yield "".join(line)
+
+
 def _basis_rows(params: dict, payload: dict):
     yield "state,level,re,im\n"
     states = payload["states"]
     dim = states.shape[1]
-    tails = [f",{level}," for level in range(dim)]
     cells = _distinct_text("%.17g,%.17g\n".__mod__, states.real, states.imag)
-    for k in range(len(states)):
-        head = str(k)
-        yield "".join([f"{head}{tail}{cell}"
-                       for tail, cell in zip(tails, cells[k * dim:(k + 1) * dim])])
+    yield from _table_rows((cells[k * dim:(k + 1) * dim] for k in range(len(states))),
+                           dim)
 
 
 def _overlap_cell(closed: complex, fock: complex) -> str:
@@ -175,11 +198,8 @@ def _overlap_rows(params: dict, payload: dict):
     cells = list(map(_overlap_cell, payload["closed_form"][0].tolist(),
                      payload["fock"][0].tolist()))
     n = len(cells)
-    tails = [f",{l}," for l in range(n)]
-    for k in range(n):
-        head = str(k)
-        yield "".join([f"{head}{tail}{cell}"
-                       for tail, cell in zip(tails, cells[n - k:] + cells[:n - k])])
+    twice = cells * 2
+    yield from _table_rows((twice[n - k:2 * n - k] for k in range(n)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +248,7 @@ def cmd_gates(n: int):
     payload = {
         "unitarity_dft": unitarity_residual(dft_matrix(n)),
         "unitarity_clock": unitarity_residual(clock_matrix(n)),
-        "unitarity_shift": unitarity_residual(shift_matrix(n)),
+        "unitarity_shift": _permutation_unitarity(shift_matrix(n)),
         "decomposition_residual": verify_clock_shift_decomposition(n),
         "weyl_phase": phase,
         "weyl_residual": weyl_residual,
@@ -294,7 +314,8 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="catscope",
         description="Orthonormal qudit cat-state bases from rotated coherent "
@@ -302,8 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "gate checks.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    command_parsers = {}
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = command_parsers[name] = sub.add_parser(name, help=command.help)
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default: json)")
         p.add_argument("--out", metavar="FILE",
@@ -311,10 +333,27 @@ def _build_parser() -> argparse.ArgumentParser:
         for param, kind, help_text, default in command.params:
             p.add_argument(f"--{param}", type=str if kind is complex else kind,
                            required=default is None, default=default, help=help_text)
-    return parser
+    return parser, command_parsers
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMAND_PARSERS = _build_parser()
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, in one pass where ``argv[0]`` names a command.
+
+    Past the command name the top-level parser hands the rest to that
+    command's parser and rejects what it leaves over, so that parser is called
+    straight.  An argument starting ``--=`` still takes the top-level pass: the
+    top-level parser rejects it first, as ambiguous between --help and --version.
+    """
+    parser = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if parser is None or any(arg.startswith("--=") for arg in argv):
+        return _PARSER.parse_args(argv)
+    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _format_warning(message, category, *_) -> str:
@@ -322,7 +361,7 @@ def _format_warning(message, category, *_) -> str:
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     command = COMMANDS[args.command]
     formatwarning = warnings.formatwarning
     warnings.formatwarning = _format_warning
@@ -350,7 +389,9 @@ def main(argv=None) -> int:
               else contextlib.nullcontext(sys.stdout)) as handle:
             handle.writelines(parts)
     except BrokenPipeError:  # the reader left early (`| head`): devnull takes the rest
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -159,6 +159,12 @@ def truncation_dim(alpha: complex, eps: float) -> int:
     # past count sum to below eps * 1e-8 (or 5e-324), far below eps.  They are
     # suffix-summed smallest-first so the tiny tails are not lost to cancellation.
     count = int(max(math.e ** 2 * lam, -math.log(max(eps * 1e-8, 5e-324)))) + 2
-    tails = np.cumsum(_exp_terms(math.exp(-lam), lam, count)[::-1])
+    weights = _exp_terms(math.exp(-lam), lam, count)
+    if eps > 0.5:
+        # A tail near 1 is 1 minus a few weights, lost to rounding; the head sums
+        # (the CDF) keep them.  tail(d) >= eps iff head(d) <= 1 - eps, which is
+        # exact for eps > 1/2.  head(0) = 0, and cumsum()[d - 1] is head(d).
+        return 1 + int(np.count_nonzero(np.cumsum(weights[:-1]) <= 1.0 - eps))
+    tails = np.cumsum(weights[::-1])
     # every level d whose tail weight reaches eps lies below the answer
     return max(int(np.count_nonzero(tails >= eps)), 1)

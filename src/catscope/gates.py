@@ -13,7 +13,12 @@ exp(-2*pi*1j/n)``, the consistent triple is
 
 Flipping the sign of ``omega`` instead pairs with the opposite shift
 direction; mixing the conventions produces an order-1 residual.
-Matrices are dense; the CLI takes n <= 1024.
+
+The matrices are dense, and so are the unitarity check and the Fourier
+conjugation, O(n^3) each; the CLI takes n <= 1024.  The Weyl commutation is
+computed from the structure instead: the shift is a permutation and the clock
+diagonal, so each product has one entry per row and O(n) work gives the dense
+products' values bit for bit.  A permutation matrix is unitary exactly.
 """
 
 from __future__ import annotations
@@ -62,13 +67,18 @@ def weyl_commutation(n: int) -> tuple[complex, float]:
     entry of the products and returns ``(phase, max |S1 S3 - phase * S3 S1|)``.
     Under the module convention the phase is ``exp(-2*pi*1j/n)``, an n-th root
     of unity.
+
+    The shift is a permutation and the clock diagonal, so both products have
+    one entry per row: row i of S1 S3 holds r_(i-1 mod n) and row i of S3 S1
+    holds r_i, with r = the clock's diagonal, both in column (i-1) mod n.  The
+    largest entry is taken in row order and the rest of each product is exact
+    zeros, so the values are those of the dense products, bit for bit.
     """
-    s1 = shift_matrix(n)
-    s3 = clock_matrix(n)
-    left = s1 @ s3
-    right = s3 @ s1
-    flat = np.argmax(np.abs(right))
-    phase = complex((left.ravel()[flat]) / (right.ravel()[flat]))
+    _check_n(n)
+    right = _roots(n)  # the entries of S3 S1, row by row
+    left = np.roll(right, 1)  # those of S1 S3
+    row = np.argmax(np.abs(right))
+    phase = complex(left[row] / right[row])
     phase /= abs(phase)
     residual = float(np.max(np.abs(left - phase * right)))
     return phase, residual
@@ -78,6 +88,14 @@ def _root_residual(phase: complex, n: int) -> float:
     return abs(phase ** n - 1.0)
 
 
-def weyl_phase_root_residual(n: int) -> float:
-    """Distance of the empirical Weyl phase from being an exact n-th root of unity."""
-    return _root_residual(weyl_commutation(n)[0], n)
+def _permutation_unitarity(matrix: np.ndarray) -> float:
+    """:func:`unitarity_residual`, exactly 0.0 without the product for a permutation.
+
+    The product of a 0/1 permutation matrix and its adjoint is the identity in
+    floating point too; any other matrix takes the dense check.
+    """
+    ones = matrix == 1
+    if ((ones | (matrix == 0)).all() and (ones.sum(axis=0) == 1).all()
+            and (ones.sum(axis=1) == 1).all()):
+        return 0.0
+    return unitarity_residual(matrix)

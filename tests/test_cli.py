@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 import runpy
 import subprocess
 import sys
@@ -15,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from catscope import (ConditioningWarning, DegenerateAlpha, cli, coherent_state,
-                      gates, weyl_commutation)
+from catscope import (ConditioningWarning, DegenerateAlpha, ModExpSpec, cli,
+                      coherent_state, gates, modexp_series, weyl_commutation)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = json.loads((FIXTURES / "output_record.schema.json").read_text())
@@ -204,6 +205,17 @@ def test_reader_that_stops_early_ends_the_output_quietly():
     proc.stderr.close()
 
 
+def test_early_reader_leaves_no_descriptor_open(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone: the first write raises BrokenPipeError
+    with open(write_end, "w", buffering=1) as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        before = sorted(os.listdir("/dev/fd"))
+        assert cli.main(["gates", "--n", "3", "--format", "csv"]) == 0
+        assert sorted(os.listdir("/dev/fd")) == before
+        monkeypatch.undo()
+
+
 def test_large_overlap_csv_streams_within_memory_bound(tmp_path):
     # 128 MB of text; built whole in memory it peaked near 400 MB.  Linux hands
     # a vfork-exec child its spawner's peak RSS as its own ru_maxrss, so the
@@ -334,6 +346,19 @@ def test_modexp_past_double_range_exits_2(x, capsys):
                             "are too large for double precision\n")
 
 
+def test_modexp_sum_past_double_range_of_finite_terms_exits_0(capsys):
+    # the first three terms of the roots route add up to 1.55e308, and n * f_s(x)
+    # is past double range too, although every term and f_s(x) are in it
+    assert cli.main(["modexp", "--n", "200", "--s", "100", "--x", "709"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)["payload"]
+    expected = modexp_series(ModExpSpec(200, 100), 709.0)
+    for route in ("series", "roots"):
+        value = complex(payload[route]["re"], payload[route]["im"])
+        assert abs(value - expected) <= 1e-13 * abs(expected)
+
+
 def test_modexp_residue_out_of_range_exits_2():
     proc = run_cli("modexp", "--n", "2", "--s", "5", "--x", "1.0")
     assert proc.returncode == 2
@@ -426,6 +451,20 @@ def test_gates_exit_1_on_tolerance_failure(monkeypatch, capsys):
     code = cli.main(["gates", "--n", "3"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 0)])  # a 0 of the shift, and a 1
+def test_gates_exit_1_on_a_shift_with_one_wrong_entry(entry, monkeypatch, capsys):
+    def wrong_shift(n):
+        shift = gates.shift_matrix(n)
+        shift[entry] = 0.5
+        return shift
+
+    monkeypatch.setattr(cli, "shift_matrix", wrong_shift)
+    assert cli.main(["gates", "--n", "3"]) == 1
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["unitarity_shift"] == gates.unitarity_residual(wrong_shift(3)) >= 0.5
+    assert payload["decomposition_residual"] < cli.GATES_TOLERANCE
 
 
 def test_overlap_diagonal_and_closed_form():
@@ -637,3 +676,60 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+# ------------------------------------------------------------------- parsing
+
+# Each argv is parsed by main's one pass and by the top-level parser's two.
+ARGV_CORPUS = [
+    [], ["--version"], ["-h"], ["--help"], ["--version", "gates"], ["-h", "gates"],
+    ["nosuchcommand"], ["Gates", "--n", "3"], ["basis"],
+    ["gates", "--n", "3"], ["gates", "--n=3", "--format=csv"],
+    ["gates", "--n", "3", "--version"], ["gates", "--help"], ["gates", "-h"],
+    ["gates", "--n", "3", "-h"], ["gates", "--n", "3", "extra"],
+    ["gates", "--n", "3", "--bogus", "x"], ["gates", "-n", "3"],
+    ["gates", "--n"], ["gates", "--n", "x"], ["gates", "--n", "3", "--n", "4"],
+    ["gates", "--n", "3", "--format", "xml"], ["gates", "--n", "3", "--fo", "csv"],
+    ["gates", "--n", "3", "--f=csv", "--o", "record.json"],
+    ["gates", "--", "--n", "3"], ["gates", "--n", "3", "--"], ["gates", "--n", "3", "--", "x"],
+    ["gates", "--=x"], ["gates", "--n", "3", "--=3"],
+    ["basis", "--n", "2", "--al", "1+0i", "--e", "1e-6"], ["basis", "--n", "2", "--alpha"],
+    ["basis", "--n", "2", "--alpha", "-1.5i"], ["basis", "--n", "2", "--alpha=-1.5i"],
+    ["modexp", "--n", "1", "--s", "0", "--x=-40"], ["modexp", "--n", "1", "--s", "0", "--x", "-40"],
+    ["lemma", "--n", "4", "--m", "1", "--s", "0", "--format", "csv", "--out", "-"],
+    ["overlap", "--n", "2", "--alpha", "1", "--eps", "1e-3", "--eps", "1e-6"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        outcome = vars(parse(list(argv)))
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+def test_one_pass_parse_matches_the_top_level_parser(argv, capsys):
+    expected = _parse_outcome(cli._PARSER.parse_args, argv, capsys)
+    assert _parse_outcome(cli._parse_args, argv, capsys) == expected
+    if isinstance(expected[0], tuple):  # rejected before any command runs
+        assert _parse_outcome(cli.main, argv, capsys) == expected
+
+
+def test_a_command_argv_takes_one_parser_pass(monkeypatch):
+    def top_level_pass(argv):
+        raise AssertionError("top-level parser used")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", top_level_pass)
+    assert vars(cli._parse_args(["gates", "--n", "3"])) == {
+        "command": "gates", "format": "json", "out": None, "n": 3}
+
+
+def test_unrecognized_arguments_come_from_the_top_level_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gates", "--n", "3", "extra", "--bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: catscope [-h] [--version] {basis,")
+    assert err.endswith("\ncatscope: error: unrecognized arguments: extra --bogus\n")

@@ -33,12 +33,13 @@ def poisson_tail_oracle(alpha, d):
 
     For d >= 1 this is the regularized lower incomplete gamma function
     gamma(d, |a|^2) / Gamma(d), which mpmath evaluates directly; summing the
-    series takes seconds per call at |a| = 26.
+    series takes seconds per call at |a| = 26.  Returned unrounded: a tail
+    within an ulp of 1 rounds to a double on the wrong side of eps.
     """
     if d == 0:
         return 1.0
     lam = mp.mpf(abs(alpha)) ** 2
-    return float(mp.gammainc(d, 0, lam, regularized=True))
+    return mp.gammainc(d, 0, lam, regularized=True)
 
 
 def summed_inner(u, v):
@@ -275,11 +276,12 @@ def test_truncation_dim_alpha_two_frozen():
     assert truncation_dim(2.0, 1e-12) == 26
 
 
-@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 8.0, 16.0,
-                                   20.0, 26.0, 1 + 1j])
-# at (20, 0.999999) the answer needs weights below eps * 1e-8; at 1e-320 that underflows
-@pytest.mark.parametrize("eps", [0.5, 0.999999, 1e-3, 1e-8, 1e-12, 1e-14, 1e-16,
-                                 1e-300, 1e-320])
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0, 8.0, 10.0,
+                                   16.0, 20.0, 26.0, 1 + 1j])
+# at (20, 0.999999) the answer needs weights below eps * 1e-8; at 1e-320 that underflows;
+# at 1 - 2^-53 the tails round to 1 (alpha 10 and 20 gave 33 and 255, not 31 and 248)
+@pytest.mark.parametrize("eps", [0.5, 0.999999, 1 - 2 ** -53, 1e-3, 1e-8, 1e-12, 1e-14,
+                                 1e-16, 1e-300, 1e-320])
 def test_truncation_dim_matches_tail_oracle(alpha, eps):
     d = truncation_dim(alpha, eps)
     assert poisson_tail_oracle(alpha, d) < eps

@@ -12,8 +12,8 @@ from catscope import (
     unitarity_residual,
     verify_clock_shift_decomposition,
     weyl_commutation,
-    weyl_phase_root_residual,
 )
+from catscope.gates import _permutation_unitarity, _root_residual
 
 
 def conjugated_clock_oracle(n):
@@ -89,7 +89,42 @@ def test_weyl_commutation_phase(n):
     phase, residual = weyl_commutation(n)
     assert residual < 1e-12
     assert phase == pytest.approx(cmath.exp(-2j * cmath.pi / n), abs=1e-13)
-    assert weyl_phase_root_residual(n) < 1e-12
+    assert _root_residual(phase, n) < 1e-12
+
+
+def dense_weyl_commutation(n):
+    """The Weyl phase and residual from the dense products S1 S3 and S3 S1."""
+    s1 = shift_matrix(n)
+    s3 = clock_matrix(n)
+    left = s1 @ s3
+    right = s3 @ s1
+    flat = np.argmax(np.abs(right))
+    phase = complex((left.ravel()[flat]) / (right.ravel()[flat]))
+    phase /= abs(phase)
+    return phase, float(np.max(np.abs(left - phase * right)))
+
+
+def bits(*values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+def test_structured_gates_match_dense_products_bit_for_bit():
+    for n in range(1, 257):
+        (phase, residual), (dense_phase, dense_residual) = (
+            weyl_commutation(n), dense_weyl_commutation(n))
+        assert bits(phase.real, phase.imag, residual) == bits(
+            dense_phase.real, dense_phase.imag, dense_residual), n
+        shift = shift_matrix(n)
+        assert bits(_permutation_unitarity(shift)) == bits(unitarity_residual(shift)), n
+
+
+def test_permutation_unitarity_takes_the_dense_check_off_a_permutation():
+    for entry in (0.5, 1j, 1.0):  # not 0 or 1, or a second 1 in row 0
+        shift = shift_matrix(5)
+        shift[0, 0] = entry
+        assert _permutation_unitarity(shift) == unitarity_residual(shift) > 0.1
+    shift[0, 0] = np.nan
+    assert np.isnan(_permutation_unitarity(shift))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 12])
@@ -106,3 +141,5 @@ def test_rejects_n_zero():
         clock_matrix(0)
     with pytest.raises(ValueError):
         shift_matrix(0)
+    with pytest.raises(ValueError):
+        weyl_commutation(0)
