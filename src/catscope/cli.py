@@ -10,9 +10,11 @@ command's own parser; the top-level parser still rejects what it leaves over.
 Output goes to stdout (or the --out file) as JSON by default or CSV with
 --format csv; diagnostics, library warnings included, go to stderr.
 Serialization is deterministic: fixed key order, floats rendered with 17
-significant digits (``.17g``) so values round-trip exactly.  Arrays are rendered
-in bulk, each distinct cell once.  CSV goes out in blocks of lines as they are
-made; a table row is one list of slots, joined once.
+significant digits (``.17g``) so values round-trip exactly.  Every table takes
+its rows of rendered cells from ``_text_rows``: an overlap table is kept as the
+first row of its circulant, rendered once and rotated; any other array renders
+each distinct cell once.  JSON and CSV go out a table row at a time, written as
+they are made; a CSV row is one list of slots, joined once.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
@@ -72,67 +74,82 @@ def parse_complex(text: str) -> complex:
 # Deterministic serialization
 
 
-def _distinct_cells(columns) -> tuple:
-    """The distinct cells of ``columns`` as float tuples, and each place's index among them.
+class _Circulant(NamedTuple):
+    """An n x n complex table whose row k is ``row`` rotated right by k.
 
-    Returning drops the sort's arrays before the caller's gather: at n = 1024
-    that keeps tens of MB off the peak RSS of an overlap record.
+    Cell (k, l) holds ``row[(l - k) mod n]``; the table is kept as that one row.
     """
-    bits = [np.asarray(c, float).ravel().view(np.uint64) for c in columns]
-    order = np.lexsort(bits)  # equal cells end up next to each other
-    ranked = [column[order] for column in bits]
-    first = np.ones(order.size, dtype=bool)  # the first cell of each run
-    first[1:] = np.any([column[1:] != column[:-1] for column in ranked], axis=0)
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
-    return zip(*[column[first].view(float).tolist() for column in ranked]), inverse
+
+    row: np.ndarray
 
 
 def _distinct_text(render, *columns) -> list:
     """``render(cell)`` of each cell, the tuple of the ``columns``' floats at one place.
 
-    Flattened in C order; ``render`` runs once per distinct cell (an overlap
-    table has n among n^2, a basis state mostly zeros).  Cells are told apart
-    by their bits, not their values, so -0.0 and 0.0, and nans with different
-    payloads, keep their own text.
+    Flattened in C order; ``render`` runs once per distinct cell (a basis state
+    is mostly zeros).  Cells are told apart by their bits, not their values, so
+    -0.0 and 0.0, and nans with different payloads, keep their own text.
     """
-    cells, inverse = _distinct_cells(columns)
+    bits = [np.asarray(c, float).ravel().view(np.uint64) for c in columns]
+    order = np.lexsort(bits)  # equal cells end up next to each other
+    bits = [column[order] for column in bits]
+    first = np.ones(order.size, dtype=bool)  # the first cell of each run
+    first[1:] = np.any([column[1:] != column[:-1] for column in bits], axis=0)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    cells = zip(*[column[first].view(float).tolist() for column in bits])
     return np.array([render(cell) for cell in cells], dtype=object)[inverse].tolist()
 
 
-def _to_json(value, out: list) -> None:
+def _text_rows(render, *tables):
+    """Each row of the complex ``tables`` as a list of ``render(cell)`` strings.
+
+    A cell is the tuple of the tables' real and imaginary parts at one place; a
+    1-D table is one row.  A circulant renders its row 0 and rotates it; any
+    other table renders each distinct cell once.
+    """
+    circulant = isinstance(tables[0], _Circulant)
+    arrays = [table.row if circulant else table for table in tables]
+    columns = [part for array in arrays for part in (array.real, array.imag)]
+    *heads, width = arrays[0].shape
+    if circulant:
+        cells = list(map(render, zip(*[column.tolist() for column in columns]))) * 2
+        return (cells[width - k:2 * width - k] for k in range(width))
+    cells = _distinct_text(render, *columns)
+    return (cells[i * width:(i + 1) * width] for i in range(math.prod(heads)))
+
+
+def _to_json(value, write) -> None:
+    """Pass ``value``'s canonical JSON to ``write`` in pieces, a table one row each."""
     if isinstance(value, bool):
-        out.append("true" if value else "false")
+        write("true" if value else "false")
     elif isinstance(value, int):
-        out.append(str(value))
+        write(str(value))
     elif isinstance(value, float):
-        out.append("%.17g" % value)
+        write("%.17g" % value)
     elif isinstance(value, complex):
-        out.append(_JSON_COMPLEX % (value.real, value.imag))
+        write(_JSON_COMPLEX % (value.real, value.imag))
     elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))  # json.dumps(str) with its defaults
+        write(encode_basestring_ascii(value))  # json.dumps(str) with its defaults
     elif isinstance(value, dict):
-        out.append("{")
+        write("{")
         for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            out.append(encode_basestring_ascii(str(key)))
-            out.append(":")
-            _to_json(item, out)
-        out.append("}")
+            write(("," if i else "") + encode_basestring_ascii(str(key)) + ":")
+            _to_json(item, write)
+        write("}")
+    elif isinstance(value, (_Circulant, np.ndarray)):  # complex: {"re","im"} items
+        nested = isinstance(value, _Circulant) or value.ndim > 1
+        write("[" if nested else "")
+        for i, cells in enumerate(_text_rows(_JSON_COMPLEX.__mod__, value)):
+            write(("," if i else "") + "[" + ",".join(cells) + "]")
+        write("]" if nested else "")
     elif isinstance(value, (list, tuple)):
-        out.append("[")
+        write("[")
         for i, item in enumerate(value):
             if i:
-                out.append(",")
-            _to_json(item, out)
-        out.append("]")
-    elif isinstance(value, np.ndarray):  # complex, 1-D or 2-D: {"re","im"} items
-        width = value.shape[-1]
-        items = _distinct_text(_JSON_COMPLEX.__mod__, value.real, value.imag)
-        text = ",".join(["[" + ",".join(items[i * width:(i + 1) * width]) + "]"
-                         for i in range(math.prod(value.shape[:-1]))])
-        out.append(text if value.ndim == 1 else "[" + text + "]")
+                write(",")
+            _to_json(item, write)
+        write("]")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -140,7 +157,7 @@ def _to_json(value, out: list) -> None:
 def dumps_record(record: dict) -> str:
     """Serialize an output record to its canonical JSON byte form."""
     parts: list = []
-    _to_json(record, parts)
+    _to_json(record, parts.append)
     return "".join(parts)
 
 
@@ -178,28 +195,21 @@ def _table_rows(rows, width: int):
 
 def _basis_rows(params: dict, payload: dict):
     yield "state,level,re,im\n"
-    states = payload["states"]
-    dim = states.shape[1]
-    cells = _distinct_text("%.17g,%.17g\n".__mod__, states.real, states.imag)
-    yield from _table_rows((cells[k * dim:(k + 1) * dim] for k in range(len(states))),
-                           dim)
+    yield from _table_rows(_text_rows("%.17g,%.17g\n".__mod__, payload["states"]),
+                           payload["dim"])
 
 
-def _overlap_cell(closed: complex, fock: complex) -> str:
+def _overlap_cell(cell: tuple) -> str:
+    closed_re, closed_im, fock_re, fock_im = cell
     # math.hypot, not np.hypot: the two differ in the last bit on some inputs
-    diff = math.hypot(closed.real - fock.real, closed.imag - fock.imag)
-    return "%.17g,%.17g,%.17g,%.17g,%.17g\n" % (closed.real, closed.imag,
-                                                fock.real, fock.imag, diff)
+    diff = math.hypot(closed_re - fock_re, closed_im - fock_im)
+    return "%.17g,%.17g,%.17g,%.17g,%.17g\n" % (*cell, diff)
 
 
 def _overlap_rows(params: dict, payload: dict):
     yield "k,l,closed_re,closed_im,fock_re,fock_im,abs_difference\n"
-    # cmd_overlap lays both tables out as circulants: row k is row 0 rotated right by k
-    cells = list(map(_overlap_cell, payload["closed_form"][0].tolist(),
-                     payload["fock"][0].tolist()))
-    n = len(cells)
-    twice = cells * 2
-    yield from _table_rows((twice[n - k:2 * n - k] for k in range(n)), n)
+    yield from _table_rows(_text_rows(_overlap_cell, payload["closed_form"],
+                                      payload["fock"]), params["n"])
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +273,14 @@ def cmd_overlap(n: int, alpha: complex, eps: float):
     dim = truncation_dim(alpha, eps)
     rotated = rotated_coherent_states(n, alpha, dim)
     # <w2^k alpha|w2^l alpha> depends only on (l - k) mod n, so both tables are
-    # circulant: their rows k = 0, n inner products each, laid out by one index table
+    # circulant: each is kept as its row k = 0, n inner products
     fock = rotated[0].conj() @ rotated.T
     # Python's scalar complex multiply, not numpy's: the overlap CSV fixture pins it
     closed = np.array([coherent_overlap_closed(alpha, w * alpha) for w in _roots(n)])
-    circulant = (np.arange(n) - np.arange(n)[:, None]) % n  # (l - k) mod n at (k, l)
     payload = {
         "dim": dim,
-        "closed_form": closed[circulant],
-        "fock": fock[circulant],
+        "closed_form": _Circulant(closed),
+        "fock": _Circulant(fock),
         "max_abs_difference": float(np.max(np.abs(closed - fock))),
     }
     return payload, 0
@@ -378,16 +387,15 @@ def main(argv=None) -> int:
     finally:
         warnings.formatwarning = formatwarning
 
-    if args.format == "json":
-        parts = [dumps_record({"command": args.command, "params": values,
-                               "payload": payload, "tool_version": __version__}) + "\n"]
-    else:
-        parts = command.csv_rows(values, payload)
-
     try:
         with (open(args.out, "w", encoding="utf-8") if args.out
               else contextlib.nullcontext(sys.stdout)) as handle:
-            handle.writelines(parts)
+            if args.format == "json":
+                _to_json({"command": args.command, "params": values,
+                          "payload": payload, "tool_version": __version__}, handle.write)
+                handle.write("\n")
+            else:
+                handle.writelines(command.csv_rows(values, payload))
     except BrokenPipeError:  # the reader left early (`| head`): devnull takes the rest
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

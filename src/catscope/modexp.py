@@ -126,28 +126,28 @@ def modexp_roots(spec: ModExpSpec, x: complex) -> complex:
     """Evaluate f_s(x) as a root-of-unity average of exponentials.
 
     Computes ``(1/n) * sum_j conj(w2)^(j*s mod n) * exp(w2^j * x)``, adding
-    the n terms in order of j.  Where a partial sum or the sum passes double
-    range but no term does, the terms are added scaled by the largest of them;
-    a term or f_s(x) past double precision raises :class:`SeriesCapError`.
-    For real ``x`` the exact value is real; the floating-point imaginary
-    residue stays below ``1e-13 * exp(|x|)`` and is zeroed when it does.
-    Complex arguments are returned untouched.
+    the n terms in order of j over a power of two near the largest of them: the
+    scaling is exact and keeps every partial sum in double range.  A term or
+    f_s(x) past double precision raises :class:`SeriesCapError`.  For real ``x``
+    the exact value is real; the floating-point imaginary residue stays below
+    ``1e-13 * exp(|x|)`` and is zeroed when it does.  Complex arguments are
+    returned untouched.
     """
     x = _check_finite(x)
     n, s = spec.n, spec.s
     roots = _roots(n)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         terms = roots.conj()[np.arange(n) * s % n] * np.exp(roots * x)
-        result = complex(np.cumsum(terms)[-1]) / n
-        if not cmath.isfinite(result) and np.isfinite(terms).all():
-            # a partial sum or n * f_s(x) left double range, not a term: add the
-            # terms over the largest |term|, then scale f_s(x) back
-            scale = float(np.max(np.abs(terms)))
-            result = complex(np.cumsum(terms / scale)[-1]) / n * scale
+        # 2^(e-1), not 2^e: at a largest |term| past 2^1023, 2^e is already inf
+        scale = 2.0 ** (math.frexp(np.max(np.abs(terms)))[1] - 1)
+        # divided as floats: numpy's complex division overflows at a subnormal scale
+        scaled = (terms.view(float) / scale).view(complex)
+        result = complex(np.cumsum(scaled)[-1]) / n * scale
     if not cmath.isfinite(result):
         raise _range_error(n, x)
     if complex(x).imag == 0.0:
-        bound = 1e-13 * math.exp(min(abs(x), 700.0))
+        # exp(|x|) is finite up to the log of the largest double, 709.78
+        bound = 1e-13 * math.exp(min(abs(x), math.log(np.finfo(float).max)))
         if abs(result.imag) < bound:
             result = complex(result.real, 0.0)
     return result

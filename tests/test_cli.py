@@ -134,12 +134,17 @@ def oracle_basis_csv(payload) -> str:
 
 
 def oracle_overlap_csv(payload) -> str:
-    """CSV of an overlap payload, one dict and one format() call per float."""
-    closed = [[_oracle_c(v) for v in row] for row in payload["closed_form"]]
-    fock = [[_oracle_c(v) for v in row] for row in payload["fock"]]
+    """CSV of an overlap payload, one dict and one format() call per float.
+
+    Each table is held as its row 0; cell (k, l) is that row at (l - k) mod n.
+    """
+    closed = [_oracle_c(v) for v in payload["closed_form"].row]
+    fock = [_oracle_c(v) for v in payload["fock"].row]
+    n = len(closed)
     rows = []
-    for k, (closed_row, fock_row) in enumerate(zip(closed, fock)):
-        for l, (c, f) in enumerate(zip(closed_row, fock_row)):
+    for k in range(n):
+        for l in range(n):
+            c, f = closed[(l - k) % n], fock[(l - k) % n]
             diff = math.hypot(c["re"] - f["re"], c["im"] - f["im"])
             rows.append((k, l, *(format(v, ".17g") for v in (
                 c["re"], c["im"], f["re"], f["im"], diff))))
@@ -193,16 +198,32 @@ def test_csv_is_written_in_row_blocks(n, monkeypatch):
     assert "".join(log.writes) == oracle_overlap_csv(payload)
 
 
-def test_reader_that_stops_early_ends_the_output_quietly():
-    # 7 MB of CSV, far more than a pipe holds: the reader closes mid-stream
-    proc = subprocess.Popen([sys.executable, "-m", "catscope", "overlap", "--n", "256",
-                             "--alpha", "1+0i", "--format", "csv"],
+def _read_head_and_leave(*args: str) -> bytes:
+    """The first line of the command's output, read before the pipe is closed.
+
+    Asserts that the command then exits 0 with nothing on stderr.
+    """
+    proc = subprocess.Popen([sys.executable, "-m", "catscope", *args],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"k,l,closed_re,")
+    head = proc.stdout.readline(64)
     proc.stdout.close()
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
     proc.stderr.close()
+    return head
+
+
+def test_reader_that_stops_early_ends_the_output_quietly():
+    # 7 MB of CSV, far more than a pipe holds: the reader closes mid-stream
+    head = _read_head_and_leave("overlap", "--n", "256", "--alpha", "1+0i",
+                                "--format", "csv")
+    assert head.startswith(b"k,l,closed_re,")
+
+
+def test_reader_that_stops_early_ends_the_json_quietly():
+    # 3 MB of JSON on one line: the reader closes after its first 64 bytes
+    head = _read_head_and_leave("overlap", "--n", "256", "--alpha", "1+0i")
+    assert head.startswith(b'{"command":"overlap","params":{"n":256,')
 
 
 def test_early_reader_leaves_no_descriptor_open(monkeypatch):
@@ -216,28 +237,68 @@ def test_early_reader_leaves_no_descriptor_open(monkeypatch):
         monkeypatch.undo()
 
 
-def test_large_overlap_csv_streams_within_memory_bound(tmp_path):
-    # 128 MB of text; built whole in memory it peaked near 400 MB.  Linux hands
-    # a vfork-exec child its spawner's peak RSS as its own ru_maxrss, so the
-    # command runs under a small launcher, not as a child of this test process.
-    out = tmp_path / "overlap.csv"
+def _peak_rss_mb(*argv: str) -> float:
+    """Peak RSS of one ``cli.main(argv)`` call in a process of its own, in MB.
+
+    Linux hands a vfork-exec child its spawner's peak RSS as its own ru_maxrss,
+    so the command runs under a small launcher, not as a child of this process.
+    """
     launch = "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))"
     script = ("import resource, sys; from catscope import cli; "
               "code = cli.main(sys.argv[1:]); "
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); "
               "sys.exit(code)")
-    argv = ["overlap", "--n", "1024", "--alpha", "4+0i", "--format", "csv",
-            "--out", str(out)]
     proc = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", script,
                            *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout) / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
-    assert peak_mb < 150
+    return int(proc.stdout) / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
+def test_large_overlap_csv_streams_within_memory_bound(tmp_path):
+    # 128 MB of text; built whole in memory it peaked near 400 MB
+    out = tmp_path / "overlap.csv"
+    assert _peak_rss_mb("overlap", "--n", "1024", "--alpha", "4+0i", "--format", "csv",
+                        "--out", str(out)) < 150
     with out.open() as handle:
         assert handle.readline() == ("k,l,closed_re,closed_im,fock_re,fock_im,"
                                      "abs_difference\n")
         assert handle.readline().startswith("0,0,1,0,")
         assert sum(1 for _ in handle) == 1024 ** 2 - 1
+
+
+def test_large_overlap_json_streams_within_memory_bound(tmp_path):
+    # 121 MB of text: a record held whole as one string needs twice that
+    out = tmp_path / "overlap.json"
+    assert _peak_rss_mb("overlap", "--n", "1024", "--alpha", "4+0i",
+                        "--out", str(out)) < 150
+    rows, tail = 0, b""
+    with out.open("rb") as handle:
+        assert handle.read(64).startswith(b'{"command":"overlap","params":{"n":1024,')
+        handle.seek(0)
+        for block in iter(lambda: handle.read(2 ** 20), b""):
+            rows += (tail[-1:] + block).count(b"[{")  # each row opens with [{
+            tail = block
+    assert rows == 2 * 1024
+    assert b'}]],"max_abs_difference":' in tail[-100:]
+    assert tail.endswith(b'},"tool_version":"0.1.0"}\n')
+
+
+# The tables of each command's JSON payload
+JSON_TABLES = {"basis": ("states",), "overlap": ("closed_form", "fock")}
+
+
+@pytest.mark.parametrize("command", list(JSON_TABLES))
+def test_json_is_written_a_table_row_at_a_time(command, monkeypatch):
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert cli.main([command, "--n", "8", "--alpha", "1.5+0.5i"]) == 0
+    monkeypatch.undo()
+    record = json.loads(log.getvalue(), parse_int=float)  # "-0" keeps its sign
+    rows = [row for key in JSON_TABLES[command] for row in record["payload"][key]]
+    assert len(log.writes) > len(rows)
+    longest_row = max(len(cli.dumps_record(row)) for row in rows)
+    assert max(map(len, log.writes)) <= longest_row + 1  # a row and the comma before it
+    assert "".join(log.writes) == cli.dumps_record(record) + "\n"
 
 
 # ------------------------------------------------------------------ commands
@@ -357,6 +418,13 @@ def test_modexp_sum_past_double_range_of_finite_terms_exits_0(capsys):
     for route in ("series", "roots"):
         value = complex(payload[route]["re"], payload[route]["im"])
         assert abs(value - expected) <= 1e-13 * abs(expected)
+
+
+def test_modexp_real_x_past_700_prints_a_real_roots_value(capsys):
+    # the imaginary residue, -1.26e292, is below 1e-13 * exp(709) = 8.2e294
+    assert cli.main(["modexp", "--n", "200", "--s", "100", "--x", "709"]) == 0
+    roots = json.loads(capsys.readouterr().out, parse_int=float)["payload"]["roots"]
+    assert roots["im"] == 0.0 and math.copysign(1.0, roots["im"]) == 1.0  # not -0
 
 
 def test_modexp_residue_out_of_range_exits_2():
@@ -488,16 +556,29 @@ def test_overlap_discrepancy_small_within_radius_two(alpha):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
-def test_overlap_closed_form_is_circulant(n):
+def test_overlap_closed_form_is_circulant(n, capsys):
+    # cmd_overlap holds each table as its row 0; the writers lay out the n x n table
     payload, code = cli.cmd_overlap(n, 0.7 + 0.2j, 1e-14)
     assert code == 0
-    closed, fock = payload["closed_form"], payload["fock"]
-    assert closed.shape == fock.shape == (n, n)
+    closed, fock = payload["closed_form"].row, payload["fock"].row
+    assert closed.shape == fock.shape == (n,)
+    argv = ["overlap", "--n", str(n), "--alpha", "0.7+0.2i"]
+    assert cli.main(argv) == 0
+    tables = json.loads(capsys.readouterr().out)["payload"]
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == n * n
     for k in range(n):
         for l in range(n):
-            assert closed[k, l] == closed[0, (l - k) % n]
-            assert fock[k, l] == fock[0, (l - k) % n]
-            diff = closed[k, l] - fock[k, l]
+            closed_kl, fock_kl = closed[(l - k) % n], fock[(l - k) % n]
+            for table, expected in (("closed_form", closed_kl), ("fock", fock_kl)):
+                value = tables[table][k][l]
+                assert complex(value["re"], value["im"]) == expected
+            fields = lines[k * n + l].split(",")
+            assert fields[:2] == [str(k), str(l)]
+            assert complex(float(fields[2]), float(fields[3])) == closed_kl
+            assert complex(float(fields[4]), float(fields[5])) == fock_kl
+            diff = closed_kl - fock_kl
             assert math.hypot(diff.real, diff.imag) < 1e-12
     assert payload["max_abs_difference"] < 1e-12
 
@@ -507,10 +588,11 @@ def test_overlap_closed_form_is_circulant(n):
 def test_overlap_fock_matches_mpmath_oracle(n, alpha):
     # <w2^k alpha|w2^l alpha> = exp(|alpha|^2 (w2^(l-k) - 1)) at 40 digits
     payload, _ = cli.cmd_overlap(n, alpha, 1e-14)
+    fock = payload["fock"].row  # cell (k, l) of the table is fock[(l - k) % n]
     with mp.workdps(40):
         lam = abs(mp.mpc(alpha)) ** 2
         row = [mp.exp(lam * (mp.expjpi(mp.mpf(2 * d) / n) - 1)) for d in range(n)]
-        worst = max(abs(mp.mpc(complex(payload["fock"][k, l])) - row[(l - k) % n])
+        worst = max(abs(mp.mpc(complex(fock[(l - k) % n])) - row[(l - k) % n])
                     for k in range(n) for l in range(n))
     assert worst <= 1e-14
 

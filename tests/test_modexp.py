@@ -6,8 +6,9 @@ import re
 import time
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catscope import (
     ModExpSpec,
@@ -120,6 +121,28 @@ def test_roots_route_matches_series_for_any_argument(n, x):
         assert abs(roots - series) <= 1e-13 * math.exp(abs(x))
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 1000), st.integers(0, 999), st.one_of(
+    st.floats(-709.7, 709.7), st.builds(complex, st.floats(-500.0, 500.0),
+                                        st.floats(-500.0, 500.0))))
+@example(1, 0, -709.3)  # the largest |term| is subnormal, and so is the scale
+@example(200, 100, 708.0)  # a partial sum is near the top of double range
+def test_roots_route_sums_its_terms_bit_for_bit_over_a_power_of_two(n, s, x):
+    # the reference adds the terms unscaled; it stands wherever it stays finite
+    s %= n
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = roots.conj()[np.arange(n) * s % n] * np.exp(roots * x)
+        reference = complex(np.cumsum(terms)[-1]) / n
+    if not cmath.isfinite(reference):
+        return
+    value = modexp_roots(ModExpSpec(n, s), x)
+    if complex(x).imag == 0.0 and value.imag == 0.0:  # a zeroed real-x residue
+        reference = complex(reference.real, 0.0)
+    assert value == reference
+    assert math.copysign(1.0, value.real) == math.copysign(1.0, reference.real)
+
+
 def exact_mod_exponentials(n, x):
     """Every f_s(x), s < n, for real x > 0: x^m/m! summed at 40 digits."""
     x = mp.mpf(x)
@@ -147,9 +170,15 @@ def test_one_pass_kernel_matches_series(n, x):
 @pytest.mark.parametrize("s", [170, 171, 199])
 @pytest.mark.parametrize("x", [1.0, 50.0, 1 + 0j, 3 - 2j, 50, -3])
 def test_series_residue_past_factorial_overflow_matches_kernel(s, x):
-    # 171! and 50^199 are past double range; f_s itself is not
+    # 171! and 50^199 are past double range; f_s itself is not.  For real x the
+    # series and the kernel take the same steps, so the reference is at 40 digits.
     series = modexp_series(ModExpSpec(200, s), x)
-    expected = modexp_all(200, x)[s]
+    if isinstance(x, complex):
+        expected = modexp_all(200, x)[s]
+    elif x > 0:
+        expected = complex(exact_mod_exponentials(200, x)[s])
+    else:
+        expected = brute_force_oracle(200, s, x)
     assert abs(series - expected) <= 1e-13 * abs(expected)
 
 
