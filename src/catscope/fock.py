@@ -36,7 +36,11 @@ def _check_alpha(alpha: complex) -> complex:
 
 def _intensity(alpha: complex) -> float:
     """|alpha|^2 of a finite amplitude, rejected past the double-precision limit."""
-    lam = abs(_check_alpha(alpha)) ** 2
+    alpha = _check_alpha(alpha)
+    try:
+        lam = abs(alpha) ** 2
+    except OverflowError:  # |alpha| or its square is past double range
+        lam = math.inf
     if lam > _MAX_ABS_ALPHA_SQ:
         raise ValueError(f"|alpha|^2 = {lam:g} too large for double precision")
     return lam
@@ -60,7 +64,7 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
     factors = np.empty(dim, dtype=complex)
     factors[0] = math.exp(-lam / 2.0)
     factors[1:] = alpha / np.sqrt(np.arange(1, dim))
-    return np.cumprod(factors)
+    return factors.cumprod()
 
 
 def inner_product(u: FockVector, v: FockVector) -> complex:
@@ -164,7 +168,7 @@ def truncation_dim(alpha: complex, eps: float) -> int:
         # A tail near 1 is 1 minus a few weights, lost to rounding; the head sums
         # (the CDF) keep them.  tail(d) >= eps iff head(d) <= 1 - eps, which is
         # exact for eps > 1/2.  head(0) = 0, and cumsum()[d - 1] is head(d).
-        return 1 + int(np.count_nonzero(np.cumsum(weights[:-1]) <= 1.0 - eps))
-    tails = np.cumsum(weights[::-1])
+        return 1 + int(np.count_nonzero(weights[:-1].cumsum() <= 1.0 - eps))
+    tails = weights[::-1].cumsum()
     # every level d whose tail weight reaches eps lies below the answer
     return max(int(np.count_nonzero(tails >= eps)), 1)

@@ -44,6 +44,7 @@ class ConditioningWarning(RuntimeWarning):
 # Amplitudes below this are treated as zero when locating the leading Fock
 # level for the phase convention; matches the mod-n support tolerance.
 _SUPPORT_TOL = 1e-13
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def rotated_coherent_states(n: int, alpha: complex, dim: int) -> np.ndarray:
         (n, dim) complex array; row j is ``|w2^j alpha>`` on ``dim`` levels.
     """
     _check_n(n)
-    exponents = np.outer(np.arange(n), np.arange(dim)) % n
+    exponents = np.arange(n)[:, None] * np.arange(dim) % n
     return coherent_state(alpha, dim) * _roots(n)[exponents]
 
 
@@ -117,7 +118,7 @@ def cat_states_raw(n: int, alpha: complex, dim: int) -> np.ndarray:
     Returns:
         (n, dim) complex array, one raw state per row.
     """
-    return np.fft.fft(rotated_coherent_states(n, alpha, dim), axis=0) / math.sqrt(n)
+    return np.fft.fft(rotated_coherent_states(n, alpha, dim), axis=0, norm="ortho")
 
 
 def normalization_constants(n: int, alpha: complex) -> np.ndarray:
@@ -143,15 +144,14 @@ def normalization_constants(n: int, alpha: complex) -> np.ndarray:
     lam = _intensity(alpha)  # rejects |alpha|^2 > 700 before exp(lam) overflows
     values = modexp_all(n, lam)
     weights = math.exp(-lam) * values
-    below = np.flatnonzero(weights < np.finfo(float).tiny)  # zero or subnormal
-    if below.size:
-        k = below[0]
+    if weights.min() < _TINY:
+        k = int((weights < _TINY).argmax())
         raise DegenerateAlpha(
             f"DegenerateAlpha: exp(-|alpha|^2) * f_{k}(|alpha|^2) = {weights[k]:.3e} "
             f"is below the smallest normal double; cat state {k} does not exist")
-    small = values < 1e-12 * math.exp(lam)
-    if small.any():
-        worst = int(np.argmax(small))
+    floor = 1e-12 * math.exp(lam)
+    if values.min() < floor:
+        worst = int((values < floor).argmax())
         warnings.warn(
             f"f_{worst}(|alpha|^2) = {values[worst]:.3e} is below "
             f"1e-12 * exp(|alpha|^2); normalization constant {worst} is "
@@ -166,14 +166,14 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     (rotations preserve ``|alpha|``), padded to at least n so every state
     keeps its leading Fock level.  Each state equals the unit-norm scaling of
     the corresponding :func:`cat_states_raw` row, but the n states are built
-    in one step as the rows of an (n, dim) array: row k masks the coherent
-    amplitudes to the congruence class k mod n.  Summing the rotated copies
-    in floating point instead leaves cancellation residue on the off-class
-    levels, and normalizing an ill-conditioned state (tiny
+    in one step as the rows of an (n, dim) array of zeros, into which each
+    coherent amplitude m is scattered at row ``m mod n``.  Summing the rotated
+    copies in floating point instead leaves cancellation residue on the
+    off-class levels, and normalizing an ill-conditioned state (tiny
     ``f_k(|alpha|^2)``) would amplify that residue past the orthogonality
-    budget.  The masked form keeps off-class amplitudes exactly zero, so the
-    Gram matrix deviates from the identity by far less than ``10 * eps`` even
-    in the regimes that trigger :class:`ConditioningWarning`.
+    budget.  The scattered form keeps off-class amplitudes exactly zero, so
+    the Gram matrix deviates from the identity by far less than ``10 * eps``
+    even in the regimes that trigger :class:`ConditioningWarning`.
 
     The rows are then normalized, and each row's global phase is fixed so
     its first Fock amplitude above 1e-13 is real positive.
@@ -186,11 +186,11 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     alpha = complex(alpha)
     constants = normalization_constants(n, alpha)  # checks n and that the states exist
     dim = max(truncation_dim(alpha, eps), n)
-    amps = coherent_state(alpha, dim)
-    classes = np.arange(dim) % n
-    states = np.where(classes == np.arange(n)[:, None], amps, 0.0)
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    lead = states[np.arange(n), np.argmax(np.abs(states) > _SUPPORT_TOL, axis=1)]
+    levels = np.arange(dim)
+    states = np.zeros((n, dim), dtype=complex)
+    states[levels % n, levels] = coherent_state(alpha, dim)
+    states /= np.sqrt(np.add.reduce((states.conj() * states).real, 1, keepdims=True))
+    lead = states[np.arange(n), (np.abs(states) > _SUPPORT_TOL).argmax(axis=1)]
     states /= (lead / np.abs(lead))[:, None]
     states.flags.writeable = False
     constants.flags.writeable = False
@@ -210,7 +210,7 @@ def gram(states) -> GramReport:
     if matrix.size == 0:
         raise ValueError("need at least one state")
     g = matrix.conj() @ matrix.T
-    deviation = float(np.max(np.abs(g - np.eye(matrix.shape[0]))))
+    deviation = float(np.abs(g - np.eye(matrix.shape[0])).max())
     return GramReport(gram=g, max_deviation=deviation)
 
 

@@ -70,7 +70,7 @@ def _roots(n: int) -> np.ndarray:
 
 def _exp_terms(first: float, x: complex, count: int) -> np.ndarray:
     """``first * x^m / m!`` for m in [0, count): one cumulative product of x/m."""
-    return np.cumprod(np.concatenate(([first], x / np.arange(1, count))))
+    return np.concatenate(([first], x / np.arange(1, count))).cumprod()
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,11 @@ def modexp_all(n: int, x: complex) -> np.ndarray:
     _check_n(n)
     x = _check_finite(x)
     rows = min(2 + int(abs(x) + 10.0 * math.sqrt(abs(x)) + 40.0) // n, _MAX_TERMS)
+    cols = np.arange(n)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):  # raised below
             terms = _exp_terms(1.0, x, n * rows).reshape(rows, n)
-            partial = np.cumsum(terms, axis=0)
+            partial = terms.cumsum(axis=0)
         # an overflowed partial sum stays inf or nan through the last row
         if not np.isfinite(partial[-1]).all():
             raise _range_error(n, x)
@@ -188,8 +189,9 @@ def modexp_all(n: int, x: complex) -> np.ndarray:
         # partial sum through row k
         converged = np.abs(terms[1:]) < np.maximum(
             _REL_TOL * np.abs(partial[:-1]), _ABS_FLOOR)
-        if converged.any(axis=0).all():
-            return partial[np.argmax(converged, axis=0), np.arange(n)]
+        first = converged.argmax(axis=0)  # row 0 also where a column never converged
+        if converged[first, cols].all():
+            return partial[first, cols]
         if rows == _MAX_TERMS:
             raise SeriesCapError(
                 f"mod-{n} exponentials did not converge within {_MAX_TERMS} "

@@ -707,7 +707,8 @@ def test_usage_errors_exit_2(capsys):
             assert captured.err == f"error: n must be >= 1, got {n}\n"
 
 
-@pytest.mark.parametrize("alpha,lam", [("27", "729"), ("30", "900")])
+@pytest.mark.parametrize("alpha,lam", [("27", "729"), ("30", "900"), ("1e200", "inf"),
+                                       ("1e154+1e154i", "inf")])
 @pytest.mark.parametrize("command", ["basis", "overlap"])
 def test_alpha_past_double_range_exits_2(command, alpha, lam, capsys):
     assert cli.main([command, "--n", "2", "--alpha", alpha]) == 2

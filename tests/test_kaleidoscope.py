@@ -171,13 +171,23 @@ def test_constant_times_bare_sum_has_unit_norm(n, alpha):
         assert np.linalg.norm(constants[k] * bare[k]) == pytest.approx(1.0, abs=1e-11)
 
 
-@pytest.mark.parametrize("alpha,lam", [(27, "729"), (30j, "900")])
+@pytest.mark.parametrize("alpha,lam", [
+    (27, "729"), (30j, "900"),
+    # |alpha|^2, and at 1e308 + 1e308j |alpha| itself, is past double range
+    (1e200, "inf"), (1e154 + 1e154j, "inf"), (1e308 + 1e308j, "inf"),
+])
 def test_closed_norm_rejects_alpha_past_double_range_like_the_constants(alpha, lam):
     message = re.escape(f"|alpha|^2 = {lam} too large for double precision")
     with pytest.raises(ValueError, match=message):
         normalization_constants(2, alpha)
     with pytest.raises(ValueError, match=message):
         raw_state_norm_sq_closed(2, alpha, 0)
+    with pytest.raises(ValueError, match=message):
+        kaleidoscope_basis(2, alpha)
+    with pytest.raises(ValueError, match=message):
+        coherent_state(alpha, 4)
+    with pytest.raises(ValueError, match=message):
+        truncation_dim(alpha, 1e-14)
 
 
 @pytest.mark.parametrize("n,k,message", [
@@ -394,6 +404,45 @@ def test_parallel_construction_matches_serial():
     for left, right in zip(serial, parallel):
         np.testing.assert_array_equal(left.states, right.states)
         np.testing.assert_array_equal(left.norm_constants, right.norm_constants)
+
+
+def masked_basis_reference(n, alpha, eps=1e-14):
+    """The basis as assembled by a class mask, ``np.linalg.norm`` and an ``np.argmax``
+    lead, with constants from the scalar series; ``None`` where a weight is not normal."""
+    alpha = complex(alpha)
+    lam = abs(alpha) ** 2
+    values = np.array([modexp_series(ModExpSpec(n, k), lam) for k in range(n)])
+    if (math.exp(-lam) * values).min() < np.finfo(float).tiny:
+        return None
+    dim = max(truncation_dim(alpha, eps), n)
+    classes = np.arange(dim) % n
+    states = np.where(classes == np.arange(n)[:, None], coherent_state(alpha, dim), 0.0)
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    lead = states[np.arange(n), np.argmax(np.abs(states) > 1e-13, axis=1)]
+    states /= (lead / np.abs(lead))[:, None]
+    constants = math.exp(lam / 2.0) / (n * np.sqrt(values))
+    g = states.conj() @ states.T
+    return dim, states, constants, g, float(np.max(np.abs(g - np.eye(n))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 64, 128])
+@pytest.mark.parametrize("alpha", [0.2, 1.0, 0.7 + 0.2j, -1.5j, 4.0, 26.0])
+def test_scattered_basis_matches_masked_assembly_bit_for_bit(n, alpha):
+    reference = masked_basis_reference(n, alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        if reference is None:
+            with pytest.raises(DegenerateAlpha):
+                kaleidoscope_basis(n, alpha)
+            return
+        basis = kaleidoscope_basis(n, alpha)
+    dim, states, constants, g, deviation = reference
+    report = gram(basis.states)
+    assert basis.dim == dim
+    assert basis.states.tobytes() == states.tobytes()
+    assert basis.norm_constants.tobytes() == constants.tobytes()
+    assert report.gram.tobytes() == g.tobytes()
+    assert np.float64(report.max_deviation).tobytes() == np.float64(deviation).tobytes()
 
 
 # --------------------------------------------------------------------- gram

@@ -144,7 +144,7 @@ def test_roots_route_sums_its_terms_bit_for_bit_over_a_power_of_two(n, s, x):
 
 
 def exact_mod_exponentials(n, x):
-    """Every f_s(x), s < n, for real x > 0: x^m/m! summed at 40 digits."""
+    """Every f_s(x), s < n, for real x >= 0: x^m/m! summed at 40 digits."""
     x = mp.mpf(x)
     values = [mp.mpf(0)] * n
     term, m = mp.mpf(1), 0
@@ -159,12 +159,40 @@ def exact_mod_exponentials(n, x):
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
 @pytest.mark.parametrize("x", [0, 0.5, -3, 2 + 1j, -4.5j, 25 + 25j, 300, 707.5, 709.0])
 def test_one_pass_kernel_matches_series(n, x):
+    # for real x the series takes the kernel's own steps, so the reference there is
+    # at 40 digits; the scalar series stays the reference for complex x
     values = modexp_all(n, x)
     assert values.shape == (n,)
     assert values.dtype == (complex if isinstance(x, complex) else float)
+    if isinstance(x, complex):
+        expected = [modexp_series(ModExpSpec(n, s), x) for s in range(n)]
+    elif x >= 0:
+        expected = exact_mod_exponentials(n, x)
+    else:
+        expected = [brute_force_oracle(n, s, x) for s in range(n)]
     for s in range(n):
-        series = modexp_series(ModExpSpec(n, s), x)
-        assert abs(values[s] - series) < 1e-14 * math.exp(abs(x))
+        assert abs(values[s] - expected[s]) < 1e-14 * math.exp(abs(x))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 64), st.floats(-709.7, 709.7))
+@example(3, 0.0)
+@example(3, -0.0)
+@example(64, 709.0)
+def test_one_pass_kernel_is_the_series_bit_for_bit_for_real_argument(n, x):
+    # same terms, same partial sums and the same stop rule, residue by residue
+    try:
+        values = modexp_all(n, x)
+    except SeriesCapError:
+        values = None
+    for s in range(n):
+        try:
+            series = modexp_series(ModExpSpec(n, s), x)
+        except SeriesCapError:
+            assert values is None
+            continue
+        assert values is not None
+        assert values[s].tobytes() == np.float64(series).tobytes()
 
 
 @pytest.mark.parametrize("s", [170, 171, 199])
