@@ -388,6 +388,8 @@ def main(argv=None) -> int:
         warnings.formatwarning = formatwarning
 
     try:
+        if not args.out and sys.stdout is None:  # started with stdout closed (`>&-`)
+            raise OSError("stdout is closed")
         with (open(args.out, "w", encoding="utf-8") if args.out
               else contextlib.nullcontext(sys.stdout)) as handle:
             if args.format == "json":
@@ -396,6 +398,7 @@ def main(argv=None) -> int:
                 handle.write("\n")
             else:
                 handle.writelines(command.csv_rows(values, payload))
+            handle.flush()  # here, not at exit, so a failing flush meets these handlers
     except BrokenPipeError:  # the reader left early (`| head`): devnull takes the rest
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -406,5 +409,23 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """Entry point of the ``catscope`` script and ``python -m catscope``.
+
+    Calls ``main()``, flushes stderr and ends the process with ``os._exit``,
+    so the interpreter's teardown is skipped: atexit handlers, the final
+    garbage collections and the deallocation of every module (numpy's
+    included), 30-45 ms of a 250-270 ms process on a 2-vCPU VM.  That is
+    safe because catscope registers no atexit handler, ``main`` has already
+    flushed stdout and closed any ``--out`` file, and the kernel releases
+    the rest.  ``SystemExit`` (``--help``, ``--version``, usage errors) and
+    uncaught exceptions still leave through the normal exit.
+    """
+    code = main()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -34,13 +34,17 @@ def _check_alpha(alpha: complex) -> complex:
     return alpha
 
 
+def _squared(alpha: complex) -> float:
+    """|alpha|^2 of a finite amplitude, rejected where it overflows a double."""
+    try:
+        return abs(_check_alpha(alpha)) ** 2
+    except OverflowError:  # |alpha| or its square is past double range
+        raise ValueError("|alpha|^2 = inf too large for double precision") from None
+
+
 def _intensity(alpha: complex) -> float:
     """|alpha|^2 of a finite amplitude, rejected past the double-precision limit."""
-    alpha = _check_alpha(alpha)
-    try:
-        lam = abs(alpha) ** 2
-    except OverflowError:  # |alpha| or its square is past double range
-        lam = math.inf
+    lam = _squared(alpha)
     if lam > _MAX_ABS_ALPHA_SQ:
         raise ValueError(f"|alpha|^2 = {lam:g} too large for double precision")
     return lam
@@ -83,13 +87,15 @@ def inner_product(u: FockVector, v: FockVector) -> complex:
 def coherent_overlap_closed(alpha: complex, beta: complex) -> complex:
     """Closed-form coherent-state overlap.
 
-    Evaluates ``exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha)*beta)``; the
-    magnitude never exceeds 1.
+    Evaluates ``exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha)*beta)``, whose
+    magnitude is at most 1; the exponent cancels where beta is near alpha, so
+    the computed one may exceed 1 by about 1e-16 * |alpha|^2.  Any amplitude
+    whose square is a finite double is taken; one whose square overflows
+    raises ValueError.
     """
-    alpha = _check_alpha(alpha)
-    beta = _check_alpha(beta)
-    return cmath.exp(-abs(alpha) ** 2 / 2.0 - abs(beta) ** 2 / 2.0
-                     + alpha.conjugate() * beta)
+    lam_alpha, lam_beta = _squared(alpha), _squared(beta)
+    return cmath.exp(-lam_alpha / 2.0 - lam_beta / 2.0
+                     + complex(alpha).conjugate() * complex(beta))
 
 
 def rotated_overlap(alpha: complex, n: int, k: int, l: int) -> complex:
@@ -103,12 +109,15 @@ def rotated_overlap(alpha: complex, n: int, k: int, l: int) -> complex:
         alpha: coherent amplitude of the unrotated copy.
         n: number of vertices, at least 1.
         k, l: vertex indices in [0, n).
+
+    Any amplitude whose square is a finite double is taken; one whose square
+    overflows raises ValueError.
     """
-    alpha = _check_alpha(alpha)
+    lam = _squared(alpha)
     _check_n(n)
     if not (0 <= k < n and 0 <= l < n):
         raise ValueError(f"vertex indices must lie in [0, {n}), got k={k}, l={l}")
-    return cmath.exp(abs(alpha) ** 2 * (_roots(n)[(l - k) % n] - 1.0))
+    return cmath.exp(lam * (_roots(n)[(l - k) % n] - 1.0))
 
 
 def annihilate(v: FockVector) -> FockVector:

@@ -21,7 +21,11 @@ from catscope import (ConditioningWarning, DegenerateAlpha, ModExpSpec, cli,
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = json.loads((FIXTURES / "output_record.schema.json").read_text())
-CSV_FIXTURES = runpy.run_path(str(FIXTURES / "generate_goldens.py"))["CSV_FIXTURES"]
+GOLDENS = runpy.run_path(str(FIXTURES / "generate_goldens.py"))
+CSV_FIXTURES = GOLDENS["CSV_FIXTURES"]
+# The child's stdout is block-buffered, as it is wherever PYTHONUNBUFFERED is unset
+BLOCK_BUFFERED = {key: value for key, value in os.environ.items()
+                  if key != "PYTHONUNBUFFERED"}
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -29,9 +33,9 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, capture_output=True, text=True)
 
 
-def run_cli_bytes(*args: str) -> subprocess.CompletedProcess:
+def run_cli_bytes(*args: str, env=None) -> subprocess.CompletedProcess:
     cmd = [sys.executable, "-m", "catscope", *args]
-    return subprocess.run(cmd, capture_output=True)
+    return subprocess.run(cmd, capture_output=True, env=env)
 
 
 # ------------------------------------------------------------ complex parsing
@@ -235,6 +239,72 @@ def test_early_reader_leaves_no_descriptor_open(monkeypatch):
         assert cli.main(["gates", "--n", "3", "--format", "csv"]) == 0
         assert sorted(os.listdir("/dev/fd")) == before
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("args", [
+    ("gates", "--n", "3"),
+    ("lemma", "--n", "4", "--m", "2", "--s", "0", "--format", "csv"),
+])
+def test_reader_gone_before_a_small_output_is_flushed_exits_0(args):
+    # the output fits stdout's buffer, so the first write to the pipe is the flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "catscope", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, env=BLOCK_BUFFERED)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_closed_stdout_exits_2_with_one_error_line():
+    # `>&-` starts the interpreter with sys.stdout None; `2>&-` makes sys.stderr None too
+    for redirect, stderr in ((">&-", "error: stdout is closed\n"), (">&- 2>&-", "")):
+        proc = subprocess.run(["sh", "-c", f'exec "$0" -m catscope gates --n 3 {redirect}',
+                               sys.executable], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (2, stderr)
+
+
+# Every golden and CSV fixture, with the arguments that write it
+FIXTURE_COMMANDS = (
+    [(FIXTURES / "golden" / name, args) for name, args in GOLDENS["GOLDEN_COMMANDS"].items()]
+    + [(FIXTURES / "csv" / name, [*args, "--format", "csv"])
+       for name, args in CSV_FIXTURES.items()])
+
+
+@pytest.mark.parametrize("path,args", FIXTURE_COMMANDS, ids=lambda v: getattr(v, "name", ""))
+def test_block_buffered_stdout_keeps_every_byte(path, args):
+    proc = run_cli_bytes(*args, env=BLOCK_BUFFERED)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == path.read_bytes()
+
+
+def test_out_file_past_the_buffer_matches_stdout(tmp_path):
+    args = ("overlap", "--n", "64", "--alpha", "4+0i", "--format", "csv")
+    out = tmp_path / "overlap.csv"
+    to_file = run_cli_bytes(*args, "--out", str(out), env=BLOCK_BUFFERED)
+    to_stdout = run_cli_bytes(*args, env=BLOCK_BUFFERED)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
+    assert len(to_stdout.stdout) > 400_000  # far past any stdio buffer
+    assert out.read_bytes() == to_stdout.stdout
+
+
+def test_block_buffered_exit_keeps_stderr_lines_and_codes():
+    warned = run_cli_bytes("basis", "--n", "64", "--alpha", "1+0i", env=BLOCK_BUFFERED)
+    assert warned.returncode == 0
+    assert warned.stderr.startswith(b"warning: ConditioningWarning: ")
+    assert warned.stderr.count(b"\n") == 1 and warned.stderr.endswith(b"\n")
+    assert len(json.loads(warned.stdout)["payload"]["states"]) == 64
+    failed = run_cli_bytes("basis", "--n", "2", "--alpha", "0+0i", env=BLOCK_BUFFERED)
+    assert (failed.returncode, failed.stdout) == (2, b"")
+    assert failed.stderr.startswith(b"error: DegenerateAlpha: ")
+    assert failed.stderr.count(b"\n") == 1 and failed.stderr.endswith(b"\n")
+    version = run_cli_bytes("--version", env=BLOCK_BUFFERED)
+    assert (version.returncode, version.stdout, version.stderr) == (0, b"0.1.0\n", b"")
+    usage = run_cli_bytes("basis", "--n", "3", env=BLOCK_BUFFERED)
+    assert (usage.returncode, usage.stdout) == (2, b"")
+    assert usage.stderr.startswith(b"usage: catscope basis ")
 
 
 def _peak_rss_mb(*argv: str) -> float:

@@ -1,5 +1,6 @@
 """Fock-space module against brute-force and closed-form oracles."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from catscope import (
     rotated_overlap,
     truncation_dim,
 )
+from catscope.modexp import _roots
 
 mp.mp.dps = 40
 
@@ -176,6 +178,46 @@ def test_rotated_overlap_matches_closed_substitution(n, alpha):
             rot_l = np.exp(2j * np.pi * l / n) * alpha
             assert rotated_overlap(alpha, n, k, l) == pytest.approx(
                 coherent_overlap_closed(rot_k, rot_l), abs=1e-13)
+
+
+OVERFLOWING_SQUARE = r"^\|alpha\|\^2 = inf too large for double precision$"
+
+
+@pytest.mark.parametrize("closed_form,args", [
+    (coherent_overlap_closed, (1e200, 1e200)),
+    (coherent_overlap_closed, (1e308 + 1e308j, 0)),  # |alpha| itself overflows
+    (coherent_overlap_closed, (0.5, 1e154 + 1e154j)),
+    (rotated_overlap, (1e200, 3, 0, 1)),
+])
+def test_closed_forms_reject_an_amplitude_whose_square_overflows(closed_form, args):
+    with pytest.raises(ValueError, match=OVERFLOWING_SQUARE):
+        closed_form(*args)
+
+
+def test_closed_forms_take_any_amplitude_whose_square_is_finite():
+    # no 700 rule: the closed forms need no Poisson weights
+    assert coherent_overlap_closed(30.0, 30.0) == 1.0
+    assert coherent_overlap_closed(1e150, -1e150) == 0.0
+    assert coherent_overlap_closed(1.3e154j, 1.3e154j) == 1.0
+    assert rotated_overlap(1e150, 4, 1, 1) == 1.0
+    assert rotated_overlap(30.0, 2, 0, 1) == 0.0
+
+
+def test_closed_forms_keep_their_bits():
+    # the expressions as first written: the overlap CSV fixture pins their bits
+    rng = np.random.default_rng(2017)
+    alphas = rng.uniform(0, 26, 400) * np.exp(2j * np.pi * rng.uniform(size=400))
+    for n in (1, 2, 3, 5, 8, 64):
+        roots = _roots(n)
+        for alpha in alphas[:: n + 1].tolist():
+            betas = roots * alpha  # numpy scalars, as cmd_overlap passes them
+            closed = [coherent_overlap_closed(alpha, beta) for beta in betas]
+            assert np.array(closed).tobytes() == np.array([
+                cmath.exp(-abs(alpha) ** 2 / 2.0 - abs(complex(beta)) ** 2 / 2.0
+                          + alpha.conjugate() * complex(beta)) for beta in betas]).tobytes()
+            rotated = [rotated_overlap(alpha, n, 0, l) for l in range(n)]
+            assert np.array(rotated).tobytes() == np.array([
+                cmath.exp(abs(alpha) ** 2 * (roots[l] - 1.0)) for l in range(n)]).tobytes()
 
 
 def test_rotated_overlap_rejects_out_of_range_vertices():
