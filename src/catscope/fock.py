@@ -117,7 +117,8 @@ def rotated_overlap(alpha: complex, n: int, k: int, l: int) -> complex:
     _check_n(n)
     if not (0 <= k < n and 0 <= l < n):
         raise ValueError(f"vertex indices must lie in [0, {n}), got k={k}, l={l}")
-    return cmath.exp(lam * (_roots(n)[(l - k) % n] - 1.0))
+    # a Python complex: numpy's scalar multiply warns where the product overflows
+    return cmath.exp(lam * (complex(_roots(n)[(l - k) % n]) - 1.0))
 
 
 def annihilate(v: FockVector) -> FockVector:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import _intensity, coherent_state, truncation_dim
-from .modexp import ModExpSpec, _check_n, _roots, modexp_all, modexp_series
+from .modexp import ModExpSpec, _check_n, _roots, modexp_all
 
 
 class DegenerateAlpha(ValueError):
@@ -237,4 +237,4 @@ def raw_state_norm_sq_closed(n: int, alpha: complex, k: int) -> float:
     """
     spec = ModExpSpec(n, k)  # rejects n < 1 and k outside [0, n)
     lam = _intensity(alpha)
-    return n * math.exp(-lam) * modexp_series(spec, lam)
+    return n * math.exp(-lam) * modexp_all(n, lam)[spec.s].item()

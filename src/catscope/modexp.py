@@ -9,7 +9,8 @@ collects every n-th term of the exponential series, so the family partitions
 ``sinh``.  Each f_s is entire, and the module evaluates it along two
 independent routes:
 
-* :func:`modexp_series` sums the defining series for one residue;
+* :func:`modexp_series` sums the defining series for one residue, read off
+  :func:`modexp_all`;
 * :func:`modexp_roots` averages plain exponentials over the n-th roots of
   unity, ``f_s(x) = (1/n) * sum_j conj(w2)^(j*s) * exp(w2^j * x)`` with
   ``w2 = exp(2*pi*1j/n)``.  ``_roots(n)`` tabulates the ``w2^j``; every root
@@ -17,11 +18,12 @@ independent routes:
 
 :func:`modexp_all` is the one-pass series kernel for the whole family: the
 terms ``x^m/m!`` of ``_exp_terms``, one cumulative product of ``x/m``, are
-summed per residue class ``m mod n``.  Each residue stops where
-:func:`modexp_series` would, once its next term is below ``1e-18`` of its
-partial sum.  The kernel never takes the roots-of-unity route, which cancels
-away every digit of a small f_s.  Every route raises :class:`SeriesCapError`
-once its terms overflow double precision.
+summed per residue class ``m mod n``.  Each residue stops once its next term
+is below ``1e-18`` of its partial sum, or below ``1e-300`` where the sum is
+still an exact zero.  It is the package's one series route, and it never
+takes the roots-of-unity route, which cancels away every digit of a small
+f_s.  Every route raises :class:`SeriesCapError` once its terms overflow
+double precision.
 
 Differentiating the series termwise shifts the residue down by one
 (cyclically), so the s-th function is reproduced after n derivatives; see
@@ -93,41 +95,23 @@ def _check_finite(x: complex) -> complex:
 
 
 def modexp_series(spec: ModExpSpec, x: complex) -> complex:
-    """Evaluate f_s(x) by summing the defining series.
+    """Evaluate f_s(x) by summing the defining series: residue s of :func:`modexp_all`.
 
-    Each term ``x^m/m!`` is the one before times ``x/m``, from ``x^0/0!``, so a
-    term overflows only where it is itself past double range.  Terms ``m = s + n*k``
-    are summed until the next one drops below ``1e-18`` of the partial sum.  A
-    scalar loop: the reference :func:`modexp_all` is tested against.
+    Returns a float for real ``x`` and a complex for complex ``x``.
 
     Raises:
-        SeriesCapError: if a term or the sum overflows double precision, or
-            the hard term cap is exhausted before convergence.
+        SeriesCapError: as :func:`modexp_all` does, also where only another
+            residue of the family passes double precision.
     """
-    x = _check_finite(x)
-    n, s = spec.n, spec.s
-    term = x ** 0 / 1  # x^0/0!, of the numeric type of the terms
-    for m in range(1, s + 1):
-        term = term * (x / m)
-    total = term * 0
-    for k in range(_MAX_TERMS):
-        total += term
-        for i in range(1, n + 1):
-            term = term * (x / (n * k + s + i))
-        if not (cmath.isfinite(term) and cmath.isfinite(total)):
-            raise _range_error(n, x)
-        if abs(term) < max(_REL_TOL * abs(total), _ABS_FLOOR):
-            return total
-    raise SeriesCapError(
-        f"f_{s} (mod {n}) did not converge within {_MAX_TERMS} terms at x={x!r}")
+    return modexp_all(spec.n, x)[spec.s].item()
 
 
 def modexp_roots(spec: ModExpSpec, x: complex) -> complex:
     """Evaluate f_s(x) as a root-of-unity average of exponentials.
 
     Computes ``(1/n) * sum_j conj(w2)^(j*s mod n) * exp(w2^j * x)``, adding
-    the n terms in order of j over a power of two near the largest of them: the
-    scaling is exact and keeps every partial sum in double range.  A term or
+    the n terms in order of j.  Where a partial sum could pass double range,
+    they are added over a power of two near the largest of them.  A term or
     f_s(x) past double precision raises :class:`SeriesCapError`.  For real ``x``
     the exact value is real; the floating-point imaginary residue stays below
     ``1e-13 * exp(|x|)`` and is zeroed when it does.  Complex arguments are
@@ -138,9 +122,12 @@ def modexp_roots(spec: ModExpSpec, x: complex) -> complex:
     roots = _roots(n)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below
         terms = roots.conj()[np.arange(n) * s % n] * np.exp(roots * x)
-        # 2^(e-1), not 2^e: at a largest |term| past 2^1023, 2^e is already inf
-        scale = 2.0 ** (math.frexp(np.max(np.abs(terms)))[1] - 1)
-        # divided as floats: numpy's complex division overflows at a subnormal scale
+        largest = np.max(np.abs(terms))
+        # scaled only where needed: a component divided into the subnormal range
+        # rounds.  2^(e-1), not 2^e: at a largest |term| past 2^1023, 2^e is inf
+        scale = (2.0 ** (math.frexp(largest)[1] - 1)
+                 if n * largest > np.finfo(float).max else 1.0)
+        # divided as floats: numpy's complex division by a float drops a -0's sign
         scaled = (terms.view(float) / scale).view(complex)
         result = complex(np.cumsum(scaled)[-1]) / n * scale
     if not cmath.isfinite(result):
@@ -160,9 +147,9 @@ def modexp_all(n: int, x: complex) -> np.ndarray:
     laid out n to a row, so column s holds residue class s; a cumulative sum
     down the columns gives every partial sum of every f_s.  Residue s has
     converged after row k once its next term drops below ``1e-18`` of its
-    partial sum (or below the ``1e-300`` floor), the same rule as
-    :func:`modexp_series`, and contributes its partial sum at its own first
-    such row.  Rows are doubled until every residue has converged.
+    partial sum (or below the ``1e-300`` floor, which ends x = 0 on its exact
+    zero terms), and contributes its partial sum at its own first such row.
+    Rows are doubled until every residue has converged.
 
     Returns:
         Array of the n values, float for real ``x`` and complex for complex

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from catscope import (ConditioningWarning, DegenerateAlpha, ModExpSpec, cli,
-                      coherent_state, gates, modexp_series, weyl_commutation)
+from catscope import (ConditioningWarning, DegenerateAlpha, cli, coherent_state, gates,
+                      weyl_commutation)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = json.loads((FIXTURES / "output_record.schema.json").read_text())
@@ -353,6 +353,15 @@ def test_large_overlap_json_streams_within_memory_bound(tmp_path):
     assert tail.endswith(b'},"tool_version":"0.1.0"}\n')
 
 
+@pytest.mark.parametrize("x", ["1", "300+400i"])
+def test_modexp_at_the_n_cap_within_memory_bound(x, tmp_path):
+    # the series kernel holds the terms and partial sums of two rows of 2^20
+    out = tmp_path / "modexp.json"
+    assert _peak_rss_mb("modexp", "--n", "1048576", "--s", "1048575", "--x", x,
+                        "--out", str(out)) < 150
+    assert json.loads(out.read_text())["payload"]["series"] == {"re": 0, "im": 0}
+
+
 # The tables of each command's JSON payload
 JSON_TABLES = {"basis": ("states",), "overlap": ("closed_form", "fock")}
 
@@ -484,7 +493,9 @@ def test_modexp_sum_past_double_range_of_finite_terms_exits_0(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     payload = json.loads(captured.out)["payload"]
-    expected = modexp_series(ModExpSpec(200, 100), 709.0)
+    with mp.workdps(40):  # f_100(709), mod 200, at 40 digits
+        expected = float(mp.fsum(mp.mpf(709) ** m / mp.factorial(m)
+                                 for m in range(100, 2000, 200)))
     for route in ("series", "roots"):
         value = complex(payload[route]["re"], payload[route]["im"])
         assert abs(value - expected) <= 1e-13 * abs(expected)

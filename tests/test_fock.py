@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -218,6 +219,21 @@ def test_closed_forms_keep_their_bits():
             rotated = [rotated_overlap(alpha, n, 0, l) for l in range(n)]
             assert np.array(rotated).tobytes() == np.array([
                 cmath.exp(abs(alpha) ** 2 * (roots[l] - 1.0)) for l in range(n)]).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [9.6e153, 1.3e154, -1.3e154j, 1.2e154 - 5e153j])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 1024])
+def test_rotated_overlap_past_the_exponent_overflow_gives_no_warning(alpha, n):
+    # |alpha|^2 is finite and |alpha|^2 * (w2^l - 1) is not: a numpy scalar multiply
+    # warns there.  The value keeps its bits, signed zeros included.
+    roots = _roots(n)
+    for l in range(n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = rotated_overlap(alpha, n, 0, l)
+        with np.errstate(over="ignore"):
+            expected = cmath.exp(abs(alpha) ** 2 * (roots[l] - 1.0))
+        assert np.array(value).tobytes() == np.array(expected).tobytes()
 
 
 def test_rotated_overlap_rejects_out_of_range_vertices():

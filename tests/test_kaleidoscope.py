@@ -408,7 +408,7 @@ def test_parallel_construction_matches_serial():
 
 def masked_basis_reference(n, alpha, eps=1e-14):
     """The basis as assembled by a class mask, ``np.linalg.norm`` and an ``np.argmax``
-    lead, with constants from the scalar series; ``None`` where a weight is not normal."""
+    lead, with constants from ``modexp_series``; ``None`` where a weight is not normal."""
     alpha = complex(alpha)
     lam = abs(alpha) ** 2
     values = np.array([modexp_series(ModExpSpec(n, k), lam) for k in range(n)])

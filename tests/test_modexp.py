@@ -18,6 +18,7 @@ from catscope import (
     modexp_roots,
     modexp_series,
 )
+from catscope.modexp import _ABS_FLOOR, _MAX_TERMS, _REL_TOL, _check_finite, _range_error
 
 mp.mp.dps = 40
 
@@ -30,6 +31,40 @@ def brute_force_oracle(n, s, x, terms=80):
     return complex(mp.nsum(
         lambda k: mp.mpc(x) ** (n * int(k) + s) / mp.factorial(n * int(k) + s),
         [0, terms]))
+
+
+def series_reference(spec, x):
+    """Evaluate f_s(x) by summing the defining series, one scalar step at a time.
+
+    Each term ``x^m/m!`` is the one before times ``x/m``, from ``x^0/0!``, so a
+    term overflows only where it is itself past double range.  Terms ``m = s + n*k``
+    are summed until the next one drops below ``1e-18`` of the partial sum.  The
+    reference :func:`modexp_all` is tested against: bit for bit for real x.
+    """
+    x = _check_finite(x)
+    n, s = spec.n, spec.s
+    term = x ** 0 / 1  # x^0/0!, of the numeric type of the terms
+    for m in range(1, s + 1):
+        term = term * (x / m)
+    total = term * 0
+    for k in range(_MAX_TERMS):
+        total += term
+        for i in range(1, n + 1):
+            term = term * (x / (n * k + s + i))
+        if not (cmath.isfinite(term) and cmath.isfinite(total)):
+            raise _range_error(n, x)
+        if abs(term) < max(_REL_TOL * abs(total), _ABS_FLOOR):
+            return total
+    raise SeriesCapError(
+        f"f_{s} (mod {n}) did not converge within {_MAX_TERMS} terms at x={x!r}")
+
+
+def raises_series_cap(spec, x):
+    try:
+        series_reference(spec, x)
+    except SeriesCapError:
+        return True
+    return False
 
 
 # ------------------------------------------------------------- pinned values
@@ -127,6 +162,7 @@ def test_roots_route_matches_series_for_any_argument(n, x):
                                         st.floats(-500.0, 500.0))))
 @example(1, 0, -709.3)  # the largest |term| is subnormal, and so is the scale
 @example(200, 100, 708.0)  # a partial sum is near the top of double range
+@example(1, 0, 1 + 2.225073858507e-311j)  # the imaginary part is subnormal
 def test_roots_route_sums_its_terms_bit_for_bit_over_a_power_of_two(n, s, x):
     # the reference adds the terms unscaled; it stands wherever it stays finite
     s %= n
@@ -159,13 +195,13 @@ def exact_mod_exponentials(n, x):
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
 @pytest.mark.parametrize("x", [0, 0.5, -3, 2 + 1j, -4.5j, 25 + 25j, 300, 707.5, 709.0])
 def test_one_pass_kernel_matches_series(n, x):
-    # for real x the series takes the kernel's own steps, so the reference there is
-    # at 40 digits; the scalar series stays the reference for complex x
+    # for real x the kernel is pinned to the scalar reference bit for bit, so the
+    # reference there is at 40 digits; for complex x it is the scalar reference
     values = modexp_all(n, x)
     assert values.shape == (n,)
     assert values.dtype == (complex if isinstance(x, complex) else float)
     if isinstance(x, complex):
-        expected = [modexp_series(ModExpSpec(n, s), x) for s in range(n)]
+        expected = [series_reference(ModExpSpec(n, s), x) for s in range(n)]
     elif x >= 0:
         expected = exact_mod_exponentials(n, x)
     else:
@@ -187,7 +223,7 @@ def test_one_pass_kernel_is_the_series_bit_for_bit_for_real_argument(n, x):
         values = None
     for s in range(n):
         try:
-            series = modexp_series(ModExpSpec(n, s), x)
+            series = series_reference(ModExpSpec(n, s), x)
         except SeriesCapError:
             assert values is None
             continue
@@ -199,10 +235,10 @@ def test_one_pass_kernel_is_the_series_bit_for_bit_for_real_argument(n, x):
 @pytest.mark.parametrize("x", [1.0, 50.0, 1 + 0j, 3 - 2j, 50, -3])
 def test_series_residue_past_factorial_overflow_matches_kernel(s, x):
     # 171! and 50^199 are past double range; f_s itself is not.  For real x the
-    # series and the kernel take the same steps, so the reference is at 40 digits.
+    # kernel takes the scalar reference's steps, so the reference is at 40 digits.
     series = modexp_series(ModExpSpec(200, s), x)
     if isinstance(x, complex):
-        expected = modexp_all(200, x)[s]
+        expected = series_reference(ModExpSpec(200, s), x)
     elif x > 0:
         expected = complex(exact_mod_exponentials(200, x)[s])
     else:
@@ -216,7 +252,37 @@ def test_series_residue_far_past_factorial_overflow_is_fast():
     start = time.perf_counter()
     series = modexp_series(ModExpSpec(n, n - 1), 1.0)
     assert time.perf_counter() - start < 5.0
-    assert series == modexp_all(n, 1.0)[n - 1]
+    assert series == series_reference(ModExpSpec(n, n - 1), 1.0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 1000), st.integers(0, 999), st.one_of(
+    st.floats(-760.0, 760.0), st.builds(complex, st.floats(-500.0, 500.0),
+                                        st.floats(-500.0, 500.0))))
+@example(1, 0, 709.7)
+@example(1, 0, 709.8)  # e^x is past double range; its largest term is not
+@example(1000, 999, 715.0)  # f_999 is small; the terms before it are not
+@example(50, 0, 713.689)  # f_0 is finite; another residue is past double range
+@example(64, 63, 300 + 400j)
+def test_kernel_raises_where_the_scalar_reference_does(n, s, x):
+    s %= n
+    try:
+        series = series_reference(ModExpSpec(n, s), x)
+    except SeriesCapError:
+        series = None
+    try:
+        values = modexp_all(n, x)
+    except SeriesCapError:
+        # one overflowed residue ends the whole family: in a narrow band below the
+        # terms' own overflow, f_s may be finite while another f_j is not
+        assert series is None or any(
+            raises_series_cap(ModExpSpec(n, j), x) for j in range(n))
+        return
+    assert series is not None
+    if isinstance(x, complex):
+        assert abs(values[s] - series) <= 1e-14 * math.exp(abs(x))
+    else:
+        assert values[s].tobytes() == np.float64(series).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
