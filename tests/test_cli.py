@@ -14,10 +14,10 @@ import jsonschema
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from catscope import (ConditioningWarning, DegenerateAlpha, cli, coherent_state, gates,
-                      weyl_commutation)
+                      kaleidoscope_basis, weyl_commutation)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = json.loads((FIXTURES / "output_record.schema.json").read_text())
@@ -87,14 +87,35 @@ SPECIAL_BITS = [0x0, 0x8000000000000000, 0x1, 0x800FFFFFFFFFFFFF,
                 0x7FF0000000000001, 0x3FF0000000000000]
 
 
+def _distinct_text(render, *columns) -> list:
+    """``render(cell)`` of each cell, the tuple of the ``columns``' floats at one place.
+
+    Flattened in C order; ``render`` runs once per distinct cell (a basis state
+    is mostly zeros).  Cells are told apart by their bits, not their values, so
+    -0.0 and 0.0, and nans with different payloads, keep their own text.  The
+    byte reference the basis table's scattered rows are tested against.
+    """
+    bits = [np.asarray(c, float).ravel().view(np.uint64) for c in columns]
+    order = np.lexsort(bits)  # equal cells end up next to each other
+    bits = [column[order] for column in bits]
+    first = np.ones(order.size, dtype=bool)  # the first cell of each run
+    first[1:] = np.any([column[1:] != column[:-1] for column in bits], axis=0)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    cells = zip(*[column[first].view(float).tolist() for column in bits])
+    return np.array([render(cell) for cell in cells], dtype=object)[inverse].tolist()
+
+
 @given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS)),
                 max_size=64))
 def test_g17_formats_each_bit_pattern_like_format(bits):
     bits = bits + bits[::2]  # repeated patterns share one formatted string
     values = np.array(bits, dtype=np.uint64).view(np.float64)
-    text = cli._distinct_text("%.17g".__mod__, values)
-    assert text == [format(v, ".17g") for v in values.tolist()]
-    assert cli._distinct_text("%.17g".__mod__, values.reshape(-1, 1)) == text
+    text = [format(v, ".17g") for v in values.tolist()]
+    assert _distinct_text("%.17g".__mod__, values) == text
+    assert cli.dumps_record(values) == "[" + ",".join(text) + "]"
+    assert cli.dumps_record(values.reshape(-1, 1)) == "[" + ",".join(
+        f"[{cell}]" for cell in text) + "]"
 
 
 @given(st.lists(st.tuples(*2 * [st.one_of(st.integers(0, 2 ** 64 - 1),
@@ -107,9 +128,44 @@ def test_complex_cells_render_each_bit_pair_like_format(pairs):
     parts = bits.view(np.float64).tolist()
     expected = ['{"re":%s,"im":%s}' % (format(re, ".17g"), format(im, ".17g"))
                 for re, im in parts]
-    assert cli._distinct_text(cli._JSON_COMPLEX.__mod__, values.real,
-                              values.imag) == expected
+    assert _distinct_text(cli._JSON_COMPLEX.__mod__, values.real, values.imag) == expected
     assert cli.dumps_record(values) == "[" + ",".join(expected) + "]"
+    assert cli.dumps_record(values.reshape(-1, 1)) == "[" + ",".join(
+        f"[{cell}]" for cell in expected) + "]"
+
+
+def test_array_of_any_shape_round_trips_to_its_shape():
+    value = np.arange(8).reshape(2, 2, 2) + 0j
+    parsed = json.loads(cli.dumps_record(value))
+    assert np.array(parsed).shape == (2, 2, 2)
+    assert parsed == [[[{"re": re, "im": 0} for re in row] for row in block]
+                      for block in value.real.tolist()]
+
+
+def test_real_and_int_arrays_serialize_as_numbers():
+    assert cli.dumps_record(np.array([1.5, -0.0])) == "[1.5,-0]"
+    assert cli.dumps_record({"x": np.array([1, 2])}) == '{"x":[1,2]}'
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 300),
+       st.one_of(st.builds(complex, st.floats(-18, 18), st.floats(-18, 18)),
+                 st.sampled_from([-1.5j, -26j, -0.3 + 0.9j, 26, 0.05, -2 - 1j])),
+       st.sampled_from([1e-14, 0.5, 0.9]))
+@example(1024, 26 + 0j, 1e-14)
+def test_scattered_rows_match_the_distinct_cell_reference(n, alpha, eps):
+    # at eps 0.9 and small |alpha| the dim is n, so each row has one nonzero
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        try:
+            states = kaleidoscope_basis(n, alpha, eps).states
+        except DegenerateAlpha:
+            assume(False)
+    dim = states.shape[1]
+    for render in (cli._JSON_COMPLEX.__mod__, "%.17g,%.17g\n".__mod__):  # JSON, CSV
+        cells = _distinct_text(render, states.real, states.imag)
+        assert list(cli._text_rows(render, cli._Scattered(states))) == [
+            cells[k * dim:(k + 1) * dim] for k in range(n)]
 
 
 @pytest.mark.parametrize("shape,text", [((0,), "[]"), ((3, 0), "[[],[],[]]"),
@@ -131,7 +187,7 @@ def _oracle_csv(header: str, rows) -> str:
 
 def oracle_basis_csv(payload) -> str:
     """CSV of a basis payload, one dict and one format() call per float."""
-    states = [[_oracle_c(amp) for amp in state] for state in payload["states"]]
+    states = [[_oracle_c(amp) for amp in state] for state in payload["states"].states]
     return _oracle_csv("state,level,re,im", (
         (k, level, format(amp["re"], ".17g"), format(amp["im"], ".17g"))
         for k, state in enumerate(states) for level, amp in enumerate(state)))
@@ -175,7 +231,7 @@ def test_bulk_csv_matches_per_element_oracle(n, alpha, capsys):
             assert capsys.readouterr().out == oracle
     if alpha == "-1.5i" and basis is not None and n > 1:
         # amplitudes include -0.0, printed as -0
-        parts = basis["states"].view(np.float64)
+        parts = basis["states"].states.view(np.float64)
         assert (np.signbit(parts) & (parts == 0)).any()
 
 

@@ -1,13 +1,15 @@
 """The paper's own identities as oracles: the trinity and quartet closed forms of
-the mod-n exponentials, and the cat states as eigenstates of a^n."""
+the mod-n exponentials, the cat states as eigenstates of a^n, and a as the
+ladder that lowers cat state k to cat state k - 1."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from catscope import annihilate, kaleidoscope_basis, modexp_all
+from catscope import ConditioningWarning, annihilate, kaleidoscope_basis, modexp_all
 
 U = np.finfo(float).eps
 
@@ -84,3 +86,61 @@ def test_cat_states_are_eigenstates_of_the_nth_power_of_a(n, radius, phase):
         residual = np.max(np.abs(lowered[:kept] - alpha ** n * state[:kept]))
         # level m's amplitude carries about m roundings
         assert residual <= 2 * U * basis.dim * abs(alpha) ** n
+
+
+LADDER_EPS = 1e-14
+
+
+def ladder_case(n, radius, phase):
+    """The basis for alpha = radius*e^(i phase), f_k(|alpha|^2) for every k, and the
+    truncation term: eps*e^lam/f_k + eps*e^lam/f_(k-1) per k.
+
+    A row normalized over dim levels keeps a relative tail of about eps*e^lam/f_k,
+    which, not rounding, sets what the identities below can be held to.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)  # small radius, large n
+        basis = kaleidoscope_basis(n, cmath.rect(radius, phase), LADDER_EPS)
+    lam = radius ** 2
+    f = modexp_all(n, lam)
+    # np.roll(f, 1)[k] is f_(k-1), k - 1 taken mod n
+    tails = LADDER_EPS * math.exp(lam) * (1 / f + 1 / np.roll(f, 1))
+    # each row's lead, its first amplitude above 1e-13, is at level k: the phase
+    # convention below needs it
+    assert (np.abs(basis.states[np.arange(n), np.arange(n)]) > 1e-13).all()
+    return basis, f, tails
+
+
+LADDER_CASES = (st.integers(1, 64), st.floats(0.05, 5.0), st.floats(-math.pi, math.pi))
+
+
+@settings(deadline=None, max_examples=60)
+@given(*LADDER_CASES)
+@example(1, 2.0, 1.0)  # a|0> = alpha|0>: the coherent state
+@example(32, 4.98, 0.7)
+@example(64, 0.05, -2.0)
+def test_a_lowers_cat_state_k_to_k_minus_1(n, radius, phase):
+    # a|k> = |alpha| sqrt(f_(k-1)/f_k) |k-1>: lowering sends class k to class k - 1.
+    # Each row is made real at level k, so row 0, lowered from the phase of level n,
+    # gains e^(i n phase).  Level dim - 1 is fed by level dim, which was dropped.
+    basis, f, tails = ladder_case(n, radius, phase)
+    states, dim = basis.states, basis.dim
+    for k in range(n):
+        weight = radius * math.sqrt(f[k - 1] / f[k])
+        expected = weight * (cmath.exp(1j * n * phase) if k == 0 else 1) * states[k - 1]
+        residual = np.max(np.abs(annihilate(states[k])[:dim - 1] - expected[:dim - 1]))
+        # both rows' relative tails scale the weight; level m carries about m roundings
+        assert residual <= weight * tails[k] + U * dim
+
+
+@settings(deadline=None, max_examples=60)
+@given(*LADDER_CASES)
+@example(1, 2.0, 1.0)  # <N> = |alpha|^2 in a coherent state
+@example(32, 4.98, 0.7)
+def test_mean_number_of_cat_state_k(n, radius, phase):
+    # <N>_k = sum_m m |c_m|^2 = lam f_(k-1)(lam)/f_k(lam)
+    basis, f, tails = ladder_case(n, radius, phase)
+    numbers = np.abs(basis.states) ** 2 @ np.arange(basis.dim)
+    expected = radius ** 2 * np.roll(f, 1) / f
+    # a tail of levels up to about dim is missing from each sum
+    assert np.all(np.abs(numbers - expected) <= basis.dim * (tails + U * basis.dim))
