@@ -14,11 +14,10 @@ significant digits (``.17g``) so values round-trip exactly.  Each table is
 rendered from its structure by ``_text_rows``: an overlap table from its
 circulant's first row, rendered once and rotated; the basis from its scatter,
 its dim in-class cells and one zero per row.  In process on a 2-vCPU VM,
-``basis --n 1024 --alpha 26+0i`` takes 0.19 s as JSON and 0.21-0.24 s as CSV
-(0.30 and 0.34 s when every cell went through a generic dedupe).  Any other
-array goes cell by cell, as the nested lists of its ``tolist()``.  JSON and CSV go
-out a table row at a time, written as they are made; a CSV row is one list of
-slots, joined once.
+``basis --n 1024 --alpha 26+0i`` takes 0.19 s as JSON and 0.21-0.24 s as CSV.
+Any other array goes cell by cell, as the nested lists of its ``tolist()``.
+JSON and CSV go out a table row at a time, written as they are made; a CSV row
+is one list of slots, joined once.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
@@ -93,7 +92,7 @@ class _Scattered(NamedTuple):
     ``states`` is the table.  Every zero of a row must have the same bits,
     signed zeros included: the basis scatters its amplitudes into ``0j`` cells
     and then divides each row, all its cells alike, by the row norm and by the
-    phase of its lead amplitude.  So one zero, at level (k + 1) mod n, stands
+    phase of its level-k amplitude.  So one zero, at level (k + 1) mod n, stands
     for all of row k's.
     """
 

@@ -41,9 +41,6 @@ class ConditioningWarning(RuntimeWarning):
     """
 
 
-# Amplitudes below this are treated as zero when locating the leading Fock
-# level for the phase convention; matches the mod-n support tolerance.
-_SUPPORT_TOL = 1e-13
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
@@ -55,8 +52,11 @@ class KaleidoscopeBasis:
         n: number of basis states.
         alpha: coherent amplitude at vertex 0.
         dim: shared Fock truncation dimension.
-        states: (n, dim) complex array, one normalized state per row, each
-            scaled so its first nonzero Fock amplitude is real positive.
+        states: (n, dim) complex array, one normalized state per row.  Row k
+            lies on the levels congruent to k mod n, and its global phase makes
+            its level-k amplitude, the row's first nonzero one, real positive:
+            up to rounding and truncation, ``states[k] = e^(-i*k*arg(alpha)) *
+            sqrt(n) * norm_constants[k] * cat_states_raw(n, alpha, dim)[k]``.
         norm_constants: per-state closed-form coefficients; the k-th value
             multiplies the bare sum ``sum_j w^(j*k) |w2^j alpha>`` to produce
             the unit-norm state.
@@ -175,8 +175,14 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     the Gram matrix deviates from the identity by far less than ``10 * eps``
     even in the regimes that trigger :class:`ConditioningWarning`.
 
-    The rows are then normalized, and each row's global phase is fixed so
-    its first Fock amplitude above 1e-13 is real positive.
+    The rows are then normalized, and each row's global phase is fixed so its
+    level-k amplitude is real positive.  Level k is row k's first nonzero level:
+    ``dim >= n`` keeps it, and a state that exists never underflows it.  Up to
+    rounding and truncation,
+    ``states[k] = e^(-i*k*arg(alpha)) * sqrt(n) * norm_constants[k] * raw[k]``
+    with ``raw = cat_states_raw(n, alpha, dim)``.  So at every ``|alpha|``, ``a``
+    lowers row k to ``|alpha| * sqrt(f_(k-1)/f_k)`` times row k - 1; row 0
+    lowers onto row n - 1 with the further factor ``e^(i*n*arg(alpha))``.
 
     Raises:
         DegenerateAlpha: if a cat state leaves double range, as at alpha = 0.
@@ -190,7 +196,8 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     states = np.zeros((n, dim), dtype=complex)
     states[levels % n, levels] = coherent_state(alpha, dim)
     states /= np.sqrt(np.add.reduce((states.conj() * states).real, 1, keepdims=True))
-    lead = states[np.arange(n), (np.abs(states) > _SUPPORT_TOL).argmax(axis=1)]
+    ks = np.arange(n)
+    lead = states[ks, ks]
     states /= (lead / np.abs(lead))[:, None]
     states.flags.writeable = False
     constants.flags.writeable = False

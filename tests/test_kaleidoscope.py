@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catscope import (
     ConditioningWarning,
@@ -19,6 +19,7 @@ from catscope import (
     gram,
     inner_product,
     kaleidoscope_basis,
+    modexp_all,
     modexp_series,
     normalization_constants,
     raw_state_norm_sq_closed,
@@ -28,6 +29,7 @@ from catscope import (
 )
 
 ALPHA_GRID = [0.3, 1.0, 1 + 1j, 2.0, 2.5j]
+U = np.finfo(float).eps
 
 
 # ------------------------------------------------------------------ DFT gate
@@ -282,17 +284,49 @@ def test_basis_states_have_unit_norm_within_budget():
 
 def test_basis_phase_convention_leading_amplitude_real_positive():
     basis = kaleidoscope_basis(4, 1.5j, 1e-14)
-    for state in basis.states:
-        lead = state[np.argmax(np.abs(state) > 1e-13)]
+    for k, state in enumerate(basis.states):
+        lead = state[k]
         assert lead.imag == pytest.approx(0.0, abs=1e-15)
         assert lead.real > 0
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 1024), st.floats(0.0, 26.45, exclude_min=True),
+       st.floats(-math.pi, math.pi), st.sampled_from([1e-14, 1e-6, 0.5, 0.9]))
+# from |alpha| near 7.8 some rows' level-k amplitudes are below 1e-13
+@example(2, 8.0, 0.7, 1e-14)
+@example(3, 10.0, math.pi, 1e-14)
+@example(1024, 26.45, 2.0, 1e-14)
+def test_basis_phase_is_that_of_level_k(n, radius, phase, eps):
+    # row k's level-k amplitude is real positive, so row k is the unit-norm raw
+    # cat state turned by e^(-i k arg alpha)
+    alpha = cmath.rect(radius, phase)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            basis = kaleidoscope_basis(n, alpha, eps)
+    except DegenerateAlpha:
+        return
+    ks = np.arange(n)
+    lead = basis.states[ks, ks]
+    assert (lead.real > 0).all()
+    assert (np.abs(lead.imag) <= U * np.abs(lead)).all()
+    lam = abs(alpha) ** 2
+    f = modexp_all(n, lam)
+    rows = f >= 1e-12 * math.exp(lam)  # the conditioning line
+    turn = np.exp(-1j * ks[rows] * cmath.phase(alpha))
+    expected = ((turn * math.sqrt(n) * basis.norm_constants[rows])[:, None]
+                * cat_states_raw(n, alpha, basis.dim)[rows])
+    error = np.abs(basis.states[rows] - expected).max(axis=1)
+    # rounding of about n + dim steps, and each row's relative tail eps*e^lam/f_k
+    assert (error <= (4 * U * (n + basis.dim) + eps) * math.exp(lam) / f[rows]).all()
 
 
 def test_basis_support_pattern():
     basis = kaleidoscope_basis(4, 1.5, 1e-14)
     levels = np.arange(basis.dim)
     for k in range(4):
-        assert np.all(np.abs(basis.states[k][levels % 4 != k]) < 1e-13)
+        assert np.all(basis.states[k][levels % 4 != k] == 0)
 
 
 def test_basis_n2_matches_independent_even_odd_construction():
@@ -304,7 +338,7 @@ def test_basis_n2_matches_independent_even_odd_construction():
         even = math.exp(lam / 2) / (2 * math.sqrt(math.cosh(lam))) * (plus + minus)
         odd = math.exp(lam / 2) / (2 * math.sqrt(math.sinh(lam))) * (plus - minus)
         for k, indep in enumerate((even, odd)):
-            lead = indep[np.argmax(np.abs(indep) > 1e-13)]
+            lead = indep[k]
             indep = indep * abs(lead) / lead  # same phase convention
             assert np.max(np.abs(basis.states[k] - indep)) < 1e-12
 
@@ -318,7 +352,7 @@ def test_basis_equals_normalized_dft_sum(n, alpha):
     raw = cat_states_raw(n, alpha, basis.dim)
     for k in range(n):
         state = raw[k] / np.linalg.norm(raw[k])
-        lead = state[np.argmax(np.abs(state) > 1e-13)]
+        lead = state[k]
         state = state * abs(lead) / lead
         assert np.max(np.abs(basis.states[k] - state)) < 1e-12
 
@@ -407,8 +441,9 @@ def test_parallel_construction_matches_serial():
 
 
 def masked_basis_reference(n, alpha, eps=1e-14):
-    """The basis as assembled by a class mask, ``np.linalg.norm`` and an ``np.argmax``
-    lead, with constants from ``modexp_series``; ``None`` where a weight is not normal."""
+    """The basis as assembled by a class mask, ``np.linalg.norm`` and the phase of
+    each row's level-k amplitude, with constants from ``modexp_series``; ``None``
+    where a weight is not normal."""
     alpha = complex(alpha)
     lam = abs(alpha) ** 2
     values = np.array([modexp_series(ModExpSpec(n, k), lam) for k in range(n)])
@@ -418,7 +453,7 @@ def masked_basis_reference(n, alpha, eps=1e-14):
     classes = np.arange(dim) % n
     states = np.where(classes == np.arange(n)[:, None], coherent_state(alpha, dim), 0.0)
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    lead = states[np.arange(n), np.argmax(np.abs(states) > 1e-13, axis=1)]
+    lead = states[np.arange(n), np.arange(n)]
     states /= (lead / np.abs(lead))[:, None]
     constants = math.exp(lam / 2.0) / (n * np.sqrt(values))
     g = states.conj() @ states.T
@@ -426,7 +461,8 @@ def masked_basis_reference(n, alpha, eps=1e-14):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 64, 128])
-@pytest.mark.parametrize("alpha", [0.2, 1.0, 0.7 + 0.2j, -1.5j, 4.0, 26.0])
+@pytest.mark.parametrize("alpha", [0.2, 1.0, 0.7 + 0.2j, -1.5j, 4.0, 26.0,
+                                   -10.0, cmath.rect(8.0, 0.7)])
 def test_scattered_basis_matches_masked_assembly_bit_for_bit(n, alpha):
     reference = masked_basis_reference(n, alpha)
     with warnings.catch_warnings():
