@@ -46,7 +46,7 @@ def _intensity(alpha: complex) -> float:
     """|alpha|^2 of a finite amplitude, rejected past the double-precision limit."""
     lam = _squared(alpha)
     if lam > _MAX_ABS_ALPHA_SQ:
-        raise ValueError(f"|alpha|^2 = {lam:g} too large for double precision")
+        raise ValueError(f"|alpha|^2 = {lam:.17g} too large for double precision")
     return lam
 
 

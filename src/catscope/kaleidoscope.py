@@ -53,8 +53,9 @@ class KaleidoscopeBasis:
         alpha: coherent amplitude at vertex 0.
         dim: shared Fock truncation dimension.
         states: (n, dim) complex array, one normalized state per row.  Row k
-            lies on the levels congruent to k mod n, and its global phase makes
-            its level-k amplitude, the row's first nonzero one, real positive:
+            lies on the levels congruent to k mod n and is exactly +0j on the
+            others; its global phase makes its level-k amplitude, the row's
+            first nonzero one, real positive:
             up to rounding and truncation, ``states[k] = e^(-i*k*arg(alpha)) *
             sqrt(n) * norm_constants[k] * cat_states_raw(n, alpha, dim)[k]``.
         norm_constants: per-state closed-form coefficients; the k-th value
@@ -165,20 +166,21 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     The shared truncation dimension comes from ``truncation_dim(alpha, eps)``
     (rotations preserve ``|alpha|``), padded to at least n so every state
     keeps its leading Fock level.  Each state equals the unit-norm scaling of
-    the corresponding :func:`cat_states_raw` row, but the n states are built
-    in one step as the rows of an (n, dim) array of zeros, into which each
-    coherent amplitude m is scattered at row ``m mod n``.  Summing the rotated
-    copies in floating point instead leaves cancellation residue on the
-    off-class levels, and normalizing an ill-conditioned state (tiny
-    ``f_k(|alpha|^2)``) would amplify that residue past the orthogonality
-    budget.  The scattered form keeps off-class amplitudes exactly zero, so
-    the Gram matrix deviates from the identity by far less than ``10 * eps``
-    even in the regimes that trigger :class:`ConditioningWarning`.
+    the corresponding :func:`cat_states_raw` row, but it is built on its own
+    class: coherent amplitude m belongs to state ``m mod n``.  Each amplitude
+    is divided by the norm of its class, then by the unit phase of its
+    class's level-k amplitude, which makes that one real positive.  Level k is
+    row k's first nonzero level: ``dim >= n`` keeps it, and a state that
+    exists never underflows it.  The amplitudes are written once into an
+    (n, dim) array of zeros, so every off-class amplitude is exactly +0j.
+    Summing the rotated copies in floating point instead leaves cancellation
+    residue on the off-class levels, and normalizing an ill-conditioned state
+    (tiny ``f_k(|alpha|^2)``) would amplify that residue past the
+    orthogonality budget.  Here the Gram matrix deviates from the identity by
+    far less than ``10 * eps`` even in the regimes that trigger
+    :class:`ConditioningWarning`.
 
-    The rows are then normalized, and each row's global phase is fixed so its
-    level-k amplitude is real positive.  Level k is row k's first nonzero level:
-    ``dim >= n`` keeps it, and a state that exists never underflows it.  Up to
-    rounding and truncation,
+    Up to rounding and truncation,
     ``states[k] = e^(-i*k*arg(alpha)) * sqrt(n) * norm_constants[k] * raw[k]``
     with ``raw = cat_states_raw(n, alpha, dim)``.  So at every ``|alpha|``, ``a``
     lowers row k to ``|alpha| * sqrt(f_(k-1)/f_k)`` times row k - 1; row 0
@@ -193,12 +195,16 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     constants = normalization_constants(n, alpha)  # checks n and that the states exist
     dim = max(truncation_dim(alpha, eps), n)
     levels = np.arange(dim)
+    classes = levels % n
+    amps = coherent_state(alpha, dim)
+    # the class weights are summed as zero-padded dim-long rows, not per class:
+    # the basis golden pins the bits of that grouping of the sums
+    weights = np.zeros((n, dim))
+    weights[classes, levels] = (amps.conj() * amps).real
+    amps /= np.sqrt(np.add.reduce(weights, 1))[classes]
+    amps /= (amps[:n] / np.abs(amps[:n]))[classes]  # level k is class k's first
     states = np.zeros((n, dim), dtype=complex)
-    states[levels % n, levels] = coherent_state(alpha, dim)
-    states /= np.sqrt(np.add.reduce((states.conj() * states).real, 1, keepdims=True))
-    ks = np.arange(n)
-    lead = states[ks, ks]
-    states /= (lead / np.abs(lead))[:, None]
+    states[classes, levels] = amps
     states.flags.writeable = False
     constants.flags.writeable = False
     return KaleidoscopeBasis(n=n, alpha=alpha, dim=dim, states=states,

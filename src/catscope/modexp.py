@@ -113,9 +113,8 @@ def modexp_roots(spec: ModExpSpec, x: complex) -> complex:
     the n terms in order of j.  Where a partial sum could pass double range,
     they are added over a power of two near the largest of them.  A term or
     f_s(x) past double precision raises :class:`SeriesCapError`.  For real ``x``
-    the exact value is real; the floating-point imaginary residue stays below
-    ``1e-13 * exp(|x|)`` and is zeroed when it does.  Complex arguments are
-    returned untouched.
+    the exact value is real, so the imaginary part, which is rounding
+    residue, is dropped.  Complex arguments are returned untouched.
     """
     x = _check_finite(x)
     n, s = spec.n, spec.s
@@ -132,12 +131,7 @@ def modexp_roots(spec: ModExpSpec, x: complex) -> complex:
         result = complex(np.cumsum(scaled)[-1]) / n * scale
     if not cmath.isfinite(result):
         raise _range_error(n, x)
-    if complex(x).imag == 0.0:
-        # exp(|x|) is finite up to the log of the largest double, 709.78
-        bound = 1e-13 * math.exp(min(abs(x), math.log(np.finfo(float).max)))
-        if abs(result.imag) < bound:
-            result = complex(result.real, 0.0)
-    return result
+    return complex(result.real, 0.0) if complex(x).imag == 0.0 else result
 
 
 def modexp_all(n: int, x: complex) -> np.ndarray:

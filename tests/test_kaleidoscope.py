@@ -175,6 +175,8 @@ def test_constant_times_bare_sum_has_unit_norm(n, alpha):
 
 @pytest.mark.parametrize("alpha,lam", [
     (27, "729"), (30j, "900"),
+    # one ulp past the limit, printed to 17 digits, not as the limit itself
+    (cmath.rect(math.sqrt(700), 2.0), "700.00000000000011"),
     # |alpha|^2, and at 1e308 + 1e308j |alpha| itself, is past double range
     (1e200, "inf"), (1e154 + 1e154j, "inf"), (1e308 + 1e308j, "inf"),
 ])
@@ -290,9 +292,21 @@ def test_basis_phase_convention_leading_amplitude_real_positive():
         assert lead.real > 0
 
 
+BASIS_CASES = (st.integers(1, 1024), st.floats(0.0, 26.45, exclude_min=True),
+               st.floats(-math.pi, math.pi), st.sampled_from([1e-14, 1e-6, 0.5, 0.9]))
+
+
+def basis_or_none(n, radius, phase, eps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        try:
+            return kaleidoscope_basis(n, cmath.rect(radius, phase), eps)
+        except DegenerateAlpha:
+            return None
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 1024), st.floats(0.0, 26.45, exclude_min=True),
-       st.floats(-math.pi, math.pi), st.sampled_from([1e-14, 1e-6, 0.5, 0.9]))
+@given(*BASIS_CASES)
 # from |alpha| near 7.8 some rows' level-k amplitudes are below 1e-13
 @example(2, 8.0, 0.7, 1e-14)
 @example(3, 10.0, math.pi, 1e-14)
@@ -300,13 +314,10 @@ def test_basis_phase_convention_leading_amplitude_real_positive():
 def test_basis_phase_is_that_of_level_k(n, radius, phase, eps):
     # row k's level-k amplitude is real positive, so row k is the unit-norm raw
     # cat state turned by e^(-i k arg alpha)
-    alpha = cmath.rect(radius, phase)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            basis = kaleidoscope_basis(n, alpha, eps)
-    except DegenerateAlpha:
+    basis = basis_or_none(n, radius, phase, eps)
+    if basis is None:
         return
+    alpha = basis.alpha
     ks = np.arange(n)
     lead = basis.states[ks, ks]
     assert (lead.real > 0).all()
@@ -320,6 +331,55 @@ def test_basis_phase_is_that_of_level_k(n, radius, phase, eps):
     error = np.abs(basis.states[rows] - expected).max(axis=1)
     # rounding of about n + dim steps, and each row's relative tail eps*e^lam/f_k
     assert (error <= (4 * U * (n + basis.dim) + eps) * math.exp(lam) / f[rows]).all()
+
+
+def off_class(basis):
+    return np.arange(basis.dim) % basis.n != np.arange(basis.n)[:, None]
+
+
+@settings(deadline=None, max_examples=60)
+@given(*BASIS_CASES)
+@example(2, 1.5, -math.pi / 2, 1e-14)
+def test_basis_is_positive_zero_off_its_class(n, radius, phase, eps):
+    # both parts of every off-class cell have the bits of +0.0
+    basis = basis_or_none(n, radius, phase, eps)
+    if basis is not None:
+        assert not basis.states[off_class(basis)].view(np.uint64).any()
+
+
+def dense_basis_reference(n, alpha, eps):
+    """The states as assembled on the whole (n, dim) complex array, each row scaled
+    by its norm and its level-k phase over every cell, off-class zeros included."""
+    alpha = complex(alpha)
+    dim = max(truncation_dim(alpha, eps), n)
+    levels = np.arange(dim)
+    states = np.zeros((n, dim), dtype=complex)
+    states[levels % n, levels] = coherent_state(alpha, dim)
+    states /= np.sqrt(np.add.reduce((states.conj() * states).real, 1, keepdims=True))
+    ks = np.arange(n)
+    lead = states[ks, ks]
+    states /= (lead / np.abs(lead))[:, None]
+    return states
+
+
+@settings(deadline=None, max_examples=60)
+@given(*BASIS_CASES)
+@example(2, 1.5, -math.pi / 2, 1e-14)
+@example(1024, 26.45, 2.0, 1e-14)
+def test_basis_keeps_the_dense_row_scaling_bits_in_class(n, radius, phase, eps):
+    # every in-class amplitude, the constants and the Gram deviation keep the bits
+    # of the dense scaling, whose off-class zeros took their row's signs
+    basis = basis_or_none(n, radius, phase, eps)
+    if basis is None:
+        return
+    dense = dense_basis_reference(n, basis.alpha, eps)
+    assert basis.states.tobytes() == np.where(off_class(basis), 0j, dense).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditioningWarning)
+        constants = normalization_constants(n, basis.alpha)
+    assert basis.norm_constants.tobytes() == constants.tobytes()
+    assert (np.float64(gram(basis.states).max_deviation).tobytes()
+            == np.float64(gram(dense).max_deviation).tobytes())
 
 
 def test_basis_support_pattern():
@@ -442,8 +502,8 @@ def test_parallel_construction_matches_serial():
 
 def masked_basis_reference(n, alpha, eps=1e-14):
     """The basis as assembled by a class mask, ``np.linalg.norm`` and the phase of
-    each row's level-k amplitude, with constants from ``modexp_series``; ``None``
-    where a weight is not normal."""
+    each row's level-k amplitude, off-class cells then set to +0j, with constants
+    from ``modexp_series``; ``None`` where a weight is not normal."""
     alpha = complex(alpha)
     lam = abs(alpha) ** 2
     values = np.array([modexp_series(ModExpSpec(n, k), lam) for k in range(n)])
@@ -455,6 +515,7 @@ def masked_basis_reference(n, alpha, eps=1e-14):
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     lead = states[np.arange(n), np.arange(n)]
     states /= (lead / np.abs(lead))[:, None]
+    states = np.where(classes == np.arange(n)[:, None], states, 0j)
     constants = math.exp(lam / 2.0) / (n * np.sqrt(values))
     g = states.conj() @ states.T
     return dim, states, constants, g, float(np.max(np.abs(g - np.eye(n))))

@@ -304,6 +304,9 @@ def test_roots_path_zeroes_imaginary_part_on_real_input():
     for n in (2, 3, 5):
         for s in range(n):
             assert modexp_roots(ModExpSpec(n, s), 2.5).imag == 0.0
+    # 65,536 terms up to e^709, added over a power of two
+    for s in (0, 1, 32768, 65535):
+        assert modexp_roots(ModExpSpec(65536, s), 709.0).imag == 0.0
 
 
 def test_complex_input_returned_untouched():
