@@ -282,11 +282,12 @@ def cmd_overlap(n: int, alpha: complex, eps: float):
     fock = rotated[0].conj() @ rotated.T
     # Python's scalar complex multiply, not numpy's: the overlap CSV fixture pins it
     closed = np.array([coherent_overlap_closed(alpha, w * alpha) for w in _roots(n)])
+    d = closed - fock  # |d| by math.hypot, as each CSV cell's abs_difference
     payload = {
         "dim": dim,
         "closed_form": _Circulant(closed),
         "fock": _Circulant(fock),
-        "max_abs_difference": float(np.max(np.abs(closed - fock))),
+        "max_abs_difference": max(map(math.hypot, d.real.tolist(), d.imag.tolist())),
     }
     return payload, 0
 
@@ -377,8 +378,6 @@ def _format_warning(message, category, *_) -> str:
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     command = COMMANDS[args.command]
-    formatwarning = warnings.formatwarning
-    warnings.formatwarning = _format_warning
     try:
         values = {name: parse_complex(getattr(args, name)) if kind is complex
                   else getattr(args, name) for name, kind, *_ in command.params}
@@ -389,8 +388,6 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        warnings.formatwarning = formatwarning
 
     try:
         if not args.out and sys.stdout is None:  # started with stdout closed (`>&-`)
@@ -417,14 +414,16 @@ def main(argv=None) -> int:
 def run() -> None:
     """Entry point of the ``catscope`` script and ``python -m catscope``.
 
-    Calls ``main()``, flushes stderr and ends the process with ``os._exit``,
-    so the interpreter's teardown is skipped: atexit handlers, the final
-    garbage collections and the deallocation of every module (numpy's
+    Sets the process's warning format to one ``warning: <category>: <message>``
+    line, calls ``main()``, flushes stderr and ends the process with
+    ``os._exit``, so the interpreter's teardown is skipped: atexit handlers,
+    the final garbage collections and the deallocation of every module (numpy's
     included).  That is safe because catscope registers no atexit handler,
     ``main`` has already flushed stdout and closed any ``--out`` file, and the
-    kernel releases the rest.  ``SystemExit`` (``--help``, ``--version``, usage errors) and
-    uncaught exceptions still leave through the normal exit.
+    kernel releases the rest.  ``SystemExit`` (``--help``, ``--version``,
+    usage errors) and uncaught exceptions still leave through the normal exit.
     """
+    warnings.formatwarning = _format_warning
     code = main()
     if sys.stderr is not None:
         sys.stderr.flush()

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .modexp import _check_n, _exp_terms, _roots
+from .modexp import _check_finite, _check_n, _exp_terms, _index, _roots
 
 # A Fock vector is a 1-d complex128 array; its length is the truncation dim.
 FockVector = np.ndarray
@@ -27,18 +27,11 @@ FockVector = np.ndarray
 _MAX_ABS_ALPHA_SQ = 700.0
 
 
-def _check_alpha(alpha: complex) -> complex:
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
-    return alpha
-
-
 def _squared(alpha: complex) -> float:
     """|alpha|^2 of a finite amplitude, rejected where it overflows a double."""
     try:
-        return abs(_check_alpha(alpha)) ** 2
-    except OverflowError:  # |alpha| or its square is past double range
+        return abs(_check_finite(complex(alpha), "coherent amplitude")) ** 2
+    except OverflowError:  # alpha, |alpha| or its square is past double range
         raise ValueError("|alpha|^2 = inf too large for double precision") from None
 
 
@@ -62,7 +55,7 @@ def coherent_state(alpha: complex, dim: int) -> FockVector:
         ``exp(-|alpha|^2 / 2) * alpha^m / sqrt(m!)``.  The squared norm is
         at most 1; the deficit equals the truncated Poisson tail weight.
     """
-    if dim < 1:
+    if _index(dim, "dim") < 1:
         raise ValueError(f"truncation dimension must be >= 1, got {dim}")
     lam = _intensity(alpha)
     factors = np.empty(dim, dtype=complex)
@@ -115,7 +108,7 @@ def rotated_overlap(alpha: complex, n: int, k: int, l: int) -> complex:
     """
     lam = _squared(alpha)
     _check_n(n)
-    if not (0 <= k < n and 0 <= l < n):
+    if not (0 <= _index(k, "k") < n and 0 <= _index(l, "l") < n):
         raise ValueError(f"vertex indices must lie in [0, {n}), got k={k}, l={l}")
     # a Python complex: numpy's scalar multiply warns where the product overflows
     return cmath.exp(lam * (complex(_roots(n)[(l - k) % n]) - 1.0))

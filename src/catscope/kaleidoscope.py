@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import _intensity, coherent_state, truncation_dim
-from .modexp import ModExpSpec, _check_n, _roots, modexp_all
+from .modexp import ModExpSpec, _check_n, _index, _roots, modexp_all
 
 
 class DegenerateAlpha(ValueError):
@@ -34,10 +34,10 @@ class DegenerateAlpha(ValueError):
 
 
 class ConditioningWarning(RuntimeWarning):
-    """A normalization constant is formed from a very small mod-n exponential.
+    """A cat state's weight ``exp(-|alpha|^2) * f_k(|alpha|^2)`` is below 1e-12.
 
-    The closed forms stay exact but the floating-point construction loses
-    digits; emitted when ``f_k(|alpha|^2) < 1e-12 * exp(|alpha|^2)``.
+    It is the weight :class:`DegenerateAlpha` tests.  The closed forms stay
+    exact but the floating-point construction loses digits.
     """
 
 
@@ -138,8 +138,8 @@ def normalization_constants(n: int, alpha: complex) -> np.ndarray:
             ``exp(|alpha|^2)`` nears the double-precision limit.
 
     Warns:
-        ConditioningWarning: when some ``f_k(|alpha|^2)`` is below
-            ``1e-12 * exp(|alpha|^2)`` and the constant loses accuracy.
+        ConditioningWarning: when some weight ``exp(-|alpha|^2) * f_k(|alpha|^2)``
+            is below 1e-12 and the constant loses accuracy.
     """
     _check_n(n)
     lam = _intensity(alpha)  # rejects |alpha|^2 > 700 before exp(lam) overflows
@@ -150,9 +150,8 @@ def normalization_constants(n: int, alpha: complex) -> np.ndarray:
         raise DegenerateAlpha(
             f"DegenerateAlpha: exp(-|alpha|^2) * f_{k}(|alpha|^2) = {weights[k]:.3e} "
             f"is below the smallest normal double; cat state {k} does not exist")
-    floor = 1e-12 * math.exp(lam)
-    if values.min() < floor:
-        worst = int((values < floor).argmax())
+    if weights.min() < 1e-12:
+        worst = int((weights < 1e-12).argmax())
         warnings.warn(
             f"f_{worst}(|alpha|^2) = {values[worst]:.3e} is below "
             f"1e-12 * exp(|alpha|^2); normalization constant {worst} is "
@@ -236,7 +235,7 @@ def roots_lemma_sum(n: int, m: int, s: int) -> complex:
     identity.  ``m`` and ``s`` may be any integers.
     """
     _check_n(n)
-    exponents = (m - s) % n * np.arange(n) % n
+    exponents = (_index(m, "m") - _index(s, "s")) % n * np.arange(n) % n
     return complex(np.cumsum(_roots(n)[exponents])[-1])
 
 
@@ -248,6 +247,6 @@ def raw_state_norm_sq_closed(n: int, alpha: complex, k: int) -> float:
     :func:`normalization_constants`, it rejects ``|alpha|^2 > 700``; at a
     degenerate alpha it underflows to a subnormal or 0.0, never nan or inf.
     """
-    spec = ModExpSpec(n, k)  # rejects n < 1 and k outside [0, n)
+    spec = ModExpSpec(n, _index(k, "k"))  # rejects n < 1 and k outside [0, n)
     lam = _intensity(alpha)
     return n * math.exp(-lam) * modexp_all(n, lam)[spec.s].item()

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 
 from dataclasses import dataclass
 
@@ -59,9 +60,16 @@ def _range_error(n: int, x: complex) -> SeriesCapError:
         f"mod-{n} exponential terms at x={x!r} are too large for double precision")
 
 
+def _index(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:  # a float, even an integral one, as range() rejects it
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_n(n: int) -> None:
-    """Reject n < 1; every function and command that takes n checks it here."""
-    if n < 1:
+    """Reject a non-integer n or n < 1; every function and command taking n checks it."""
+    if _index(n, "n") < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
@@ -84,13 +92,13 @@ class ModExpSpec:
 
     def __post_init__(self):
         _check_n(self.n)
-        if not 0 <= self.s < self.n:
+        if not 0 <= _index(self.s, "s") < self.n:
             raise ValueError(f"residue s must lie in [0, {self.n}), got {self.s}")
 
 
-def _check_finite(x: complex) -> complex:
+def _check_finite(x: complex, name: str = "argument") -> complex:
     if not cmath.isfinite(x):
-        raise ValueError(f"argument must be finite, got {x!r}")
+        raise ValueError(f"{name} must be finite, got {x!r}")
     return x
 
 
@@ -189,6 +197,6 @@ def derivative_residue(spec: ModExpSpec, order: int = 1) -> ModExpSpec:
     selector, which is the series-level statement that every member of the
     family solves the order-n differential equation f^(n) = f.
     """
-    if order < 0:
+    if _index(order, "order") < 0:
         raise ValueError(f"derivative order must be >= 0, got {order}")
     return ModExpSpec(spec.n, (spec.s - order) % spec.n)

@@ -1,5 +1,6 @@
 """CLI contract: formats, determinism, schema validity, exit codes."""
 
+import cmath
 import io
 import json
 import math
@@ -734,6 +735,18 @@ def test_overlap_fock_matches_mpmath_oracle(n, alpha):
     assert worst <= 1e-14
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 64),
+       st.builds(cmath.rect, st.floats(0.3, 26.45), st.floats(-math.pi, math.pi)))
+@example(16, 1 + 0j)  # where np.abs and math.hypot differ in the last bit
+def test_overlap_max_difference_is_the_largest_csv_cell(n, alpha):
+    # the JSON scalar and every CSV abs_difference are |closed - fock| by math.hypot
+    payload, _ = cli.cmd_overlap(n, alpha, 1e-14)
+    lines = "".join(cli.COMMANDS["overlap"].csv_rows({"n": n}, payload)).splitlines()
+    largest = max(float(line.rsplit(",", 1)[1]) for line in lines[1:])
+    assert payload["max_abs_difference"].hex() == largest.hex()
+
+
 # ---------------------------------------------------------------- CSV format
 
 
@@ -890,6 +903,21 @@ def test_library_warning_is_one_stderr_line():
         "1e-12 * exp(|alpha|^2); normalization constant 7 is ill-conditioned\n")
     assert "kaleidoscope.py" not in proc.stderr
     assert len(json.loads(proc.stdout)["payload"]["states"]) == 16
+
+
+def test_main_leaves_the_warning_format_to_its_caller(monkeypatch, capsys):
+    # run() sets the one-line format once per process; main() never touches it
+    shown = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        monkeypatch.setattr(warnings, "formatwarning",
+                            lambda message, category, *_: f"caller: {message}")
+        monkeypatch.setattr(warnings, "showwarning",
+                            lambda *args: shown.append(warnings.formatwarning(*args[:4])))
+        assert cli.main(["basis", "--n", "16", "--alpha", "0.2"]) == 0
+    assert shown == ["caller: f_7(|alpha|^2) = 3.251e-14 is below 1e-12 * exp(|alpha|^2); "
+                     "normalization constant 7 is ill-conditioned"]
+    assert capsys.readouterr().err == ""
 
 
 def test_version_flag():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import catscope
 from catscope import (
     ModExpSpec,
     SeriesCapError,
@@ -366,6 +367,47 @@ def test_spec_validation():
         ModExpSpec(3, -1)
     with pytest.raises(ValueError):
         modexp_all(0, 1.0)
+
+
+# Every integer argument in the package: a float, even an integral one, is no
+# integer (as range() and np.zeros say), and the TypeError names the argument.
+INTEGER_ARGUMENTS = [
+    (catscope.clock_matrix, (2.5,), "n"),
+    (catscope.shift_matrix, (2.5,), "n"),
+    (catscope.weyl_commutation, (2.5,), "n"),
+    (catscope.dft_matrix, (2.0,), "n"),
+    (modexp_all, (2.5, 1.0), "n"),
+    (ModExpSpec, (2.5, 0), "n"),
+    (ModExpSpec, (3, 1.5), "s"),
+    (catscope.roots_lemma_sum, (2.5, 1, 0), "n"),
+    (catscope.roots_lemma_sum, (3, 1.5, 0), "m"),
+    (catscope.roots_lemma_sum, (3, 1, 0.5), "s"),
+    (catscope.rotated_overlap, (1, 2.5, 0, 1), "n"),
+    (catscope.rotated_overlap, (1, 3, 0.0, 1), "k"),
+    (catscope.rotated_overlap, (1, 3, 0, 1.0), "l"),
+    (catscope.raw_state_norm_sq_closed, (3, 1.0, 1.0), "k"),
+    (catscope.coherent_state, (1.0, 4.0), "dim"),
+    (catscope.cat_states_raw, (3, 1.0, 2.5), "dim"),
+    (derivative_residue, (ModExpSpec(3, 1), 1.5), "order"),
+]
+
+
+@pytest.mark.parametrize("function,args,name", INTEGER_ARGUMENTS,
+                         ids=[f"{f.__name__}{args}" for f, args, _ in INTEGER_ARGUMENTS])
+def test_non_integer_argument_is_one_type_error(function, args, name):
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, got \d\.\d$"):
+        function(*args)
+
+
+def test_numpy_integers_are_integers():
+    three, one = np.int64(3), np.int64(1)
+    assert ModExpSpec(three, one) == ModExpSpec(3, 1)
+    assert catscope.clock_matrix(three).shape == (3, 3)
+    assert catscope.roots_lemma_sum(three, one, one) == 3
+    assert catscope.coherent_state(1.0, three).shape == (3,)
+    assert derivative_residue(ModExpSpec(3, 1), three) == ModExpSpec(3, 1)
+    assert catscope.rotated_overlap(1.0, three, one, np.int64(2)) == \
+        catscope.rotated_overlap(1.0, 3, 1, 2)
 
 
 def test_non_finite_argument_rejected():
