@@ -50,25 +50,19 @@ LEMMA_TOLERANCE = 1e-12
 MAX_DENSE_N = 1024
 _JSON_COMPLEX = '{"re":%.17g,"im":%.17g}'
 
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_REAL_RE = re.compile(rf"^[+-]?{_NUM}$")
-_IMAG_RE = re.compile(rf"^([+-]?)({_NUM})?i$")
-_FULL_RE = re.compile(rf"^([+-]?{_NUM})([+-])({_NUM})?i$")
-
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' / 'a-bi' / bare real / bare imaginary ('2.5i', '-i')."""
+    """Parse Python's complex literal with ``i`` for ``j``: 'a+bi', 'a-bi', '2.5i', '-i'.
+
+    Only digits, '.', 'e', 'E', signs and 'i' are taken, so 'j', '_', 'inf',
+    'nan' and parentheses are rejected; surrounding whitespace is dropped.
+    """
     text = text.strip()
-    match = _FULL_RE.match(text)
-    if match:
-        real, sign, imag = match.groups()
-        return complex(float(real), float(sign + (imag or "1")))
-    match = _IMAG_RE.match(text)
-    if match:
-        sign, imag = match.groups()
-        return complex(0.0, float(sign + (imag or "1")))
-    if _REAL_RE.match(text):
-        return complex(float(text), 0.0)
+    if re.fullmatch(r"[\d.eE+\-i]*", text):
+        try:
+            return complex(text.replace("i", "j"))
+        except ValueError:
+            pass
     raise ValueError(f"cannot parse complex number from {text!r}")
 
 

@@ -23,7 +23,8 @@ from .modexp import _check_finite, _check_n, _exp_terms, _index, _roots
 # A Fock vector is a 1-d complex128 array; its length is the truncation dim.
 FockVector = np.ndarray
 
-# exp(-|alpha|^2) underflows past this point and the Poisson weights degenerate.
+# A margin inside double range: exp(|alpha|^2) passes DBL_MAX at 709.78 and
+# exp(-|alpha|^2) leaves the normal doubles at 708.40; exp(-700) = 9.9e-305.
 _MAX_ABS_ALPHA_SQ = 700.0
 
 

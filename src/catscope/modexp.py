@@ -48,11 +48,10 @@ import numpy as np
 # absolute floor so x = 0 terminates on its exact zero terms.
 _REL_TOL = 1e-18
 _ABS_FLOOR = 1e-300
-_MAX_TERMS = 10_000
 
 
 class SeriesCapError(OverflowError):
-    """The terms overflow double precision, or the series hit its hard term cap."""
+    """The terms overflow double precision."""
 
 
 def _range_error(n: int, x: complex) -> SeriesCapError:
@@ -160,12 +159,18 @@ def modexp_all(n: int, x: complex) -> np.ndarray:
 
     Raises:
         SeriesCapError: if the terms or their sums overflow double
-            precision, or some residue has not converged within the hard
-            term cap.
+            precision, at once and at any n where ``|x| > 720``.
     """
     _check_n(n)
     x = _check_finite(x)
-    rows = min(2 + int(abs(x) + 10.0 * math.sqrt(abs(x)) + 40.0) // n, _MAX_TERMS)
+    # The largest term, about e^|x|/sqrt(2 pi |x|), is past double range in every
+    # direction from |x| = 714.23, so |x| > 720 is rejected before anything is
+    # allocated.  Below 720 every term from m = 2559 on is under the 1e-300
+    # floor, so the row doubling ends; the first pass has at most 2 + 1028//n
+    # rows.  math.hypot, not abs(): abs() of a complex raises past DBL_MAX.
+    if math.hypot(x.real, x.imag) > 720:
+        raise _range_error(n, x)
+    rows = 2 + int(abs(x) + 10.0 * math.sqrt(abs(x)) + 40.0) // n
     cols = np.arange(n)
     while True:
         with np.errstate(over="ignore", invalid="ignore"):  # raised below
@@ -181,11 +186,7 @@ def modexp_all(n: int, x: complex) -> np.ndarray:
         first = converged.argmax(axis=0)  # row 0 also where a column never converged
         if converged[first, cols].all():
             return partial[first, cols]
-        if rows == _MAX_TERMS:
-            raise SeriesCapError(
-                f"mod-{n} exponentials did not converge within {_MAX_TERMS} "
-                f"terms per residue at x={x!r}")
-        rows = min(2 * rows, _MAX_TERMS)
+        rows *= 2
 
 
 def derivative_residue(spec: ModExpSpec, order: int = 1) -> ModExpSpec:

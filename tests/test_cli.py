@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -62,6 +63,51 @@ def test_parse_complex_accepts(text, expected):
 def test_parse_complex_rejects(text):
     with pytest.raises(ValueError):
         cli.parse_complex(text)
+
+
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_REAL_RE = re.compile(rf"^[+-]?{_NUM}$")
+_IMAG_RE = re.compile(rf"^([+-]?)({_NUM})?i$")
+_FULL_RE = re.compile(rf"^([+-]?{_NUM})([+-])({_NUM})?i$")
+
+
+def parse_complex_reference(text: str) -> complex:
+    """Parse 'a+bi' / 'a-bi' / bare real / bare imaginary ('2.5i', '-i')."""
+    text = text.strip()
+    match = _FULL_RE.match(text)
+    if match:
+        real, sign, imag = match.groups()
+        return complex(float(real), float(sign + (imag or "1")))
+    match = _IMAG_RE.match(text)
+    if match:
+        sign, imag = match.groups()
+        return complex(0.0, float(sign + (imag or "1")))
+    if _REAL_RE.match(text):
+        return complex(float(text), 0.0)
+    raise ValueError(f"cannot parse complex number from {text!r}")
+
+
+def _parsed(parse, text: str):
+    """The bits of ``parse(text)``, signed zeros included, or its ValueError message."""
+    try:
+        return np.complex128(parse(text)).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500)
+@given(st.text(st.sampled_from(["0", "1", "9", ".", "e", "E", "+", "-", "i", " ", "\t",
+                                "\u0663", "\uff12", "j", "_", "n"]), max_size=8))
+@example("-i")
+@example("-0-0i")
+@example("\uff11+\uff12i")  # fullwidth digits
+@example("1_0")
+@example("nan")
+@example("1+2j")
+def test_parse_complex_is_the_three_regex_parser(text):
+    # Python's complex literal with i for j, behind a guard on its characters,
+    # takes and rejects the same strings as the regex grammar, to the bit
+    assert _parsed(cli.parse_complex, text) == _parsed(parse_complex_reference, text)
 
 
 # -------------------------------------------------------------- serialization
@@ -364,7 +410,7 @@ def test_block_buffered_exit_keeps_stderr_lines_and_codes():
     assert usage.stderr.startswith(b"usage: catscope basis ")
 
 
-def _peak_rss_mb(*argv: str) -> float:
+def _peak_rss_mb(*argv: str, code: int = 0) -> float:
     """Peak RSS of one ``cli.main(argv)`` call in a process of its own, in MB.
 
     Linux hands a vfork-exec child its spawner's peak RSS as its own ru_maxrss,
@@ -377,7 +423,7 @@ def _peak_rss_mb(*argv: str) -> float:
               "sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", script,
                            *argv], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return int(proc.stdout) / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
@@ -417,6 +463,11 @@ def test_modexp_at_the_n_cap_within_memory_bound(x, tmp_path):
     assert _peak_rss_mb("modexp", "--n", "1048576", "--s", "1048575", "--x", x,
                         "--out", str(out)) < 150
     assert json.loads(out.read_text())["payload"]["series"] == {"re": 0, "im": 0}
+
+
+def test_modexp_past_double_range_at_the_n_cap_within_memory_bound():
+    # |x| is checked before the kernel lays out any of its n x rows terms
+    assert _peak_rss_mb("modexp", "--n", "1048576", "--s", "0", "--x", "1e7", code=2) < 150
 
 
 # The tables of each command's JSON payload
@@ -540,6 +591,16 @@ def test_modexp_past_double_range_exits_2(x, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error: mod-1 exponential terms at x={cli.parse_complex(x)!r} "
+                            "are too large for double precision\n")
+
+
+@pytest.mark.parametrize("n,x", [(1048576, "2e154"), (1048576, "1+1e300i"),
+                                 (3, "1.5e308+1.5e308i")])
+def test_modexp_past_double_range_exits_2_at_any_n(n, x, capsys):
+    assert cli.main(["modexp", "--n", str(n), "--s", "1", f"--x={x}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: mod-{n} exponential terms at x={cli.parse_complex(x)!r} "
                             "are too large for double precision\n")
 
 

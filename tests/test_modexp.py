@@ -19,9 +19,12 @@ from catscope import (
     modexp_roots,
     modexp_series,
 )
-from catscope.modexp import _ABS_FLOOR, _MAX_TERMS, _REL_TOL, _check_finite, _range_error
+from catscope.modexp import _ABS_FLOOR, _REL_TOL, _check_finite, _range_error
 
 mp.mp.dps = 40
+
+# The scalar reference's own bound on its loop, one term of f_s per step
+REFERENCE_MAX_TERMS = 10_000
 
 X_REAL = [-9.0, -4.0, -1.5, -0.2, 0.0, 0.3, 1.0, 4.0, 9.0]
 X_COMPLEX = [1 + 1j, -3 + 2j, 4j, -0.5 - 5j]
@@ -48,7 +51,7 @@ def series_reference(spec, x):
     for m in range(1, s + 1):
         term = term * (x / m)
     total = term * 0
-    for k in range(_MAX_TERMS):
+    for k in range(REFERENCE_MAX_TERMS):
         total += term
         for i in range(1, n + 1):
             term = term * (x / (n * k + s + i))
@@ -57,7 +60,7 @@ def series_reference(spec, x):
         if abs(term) < max(_REL_TOL * abs(total), _ABS_FLOOR):
             return total
     raise SeriesCapError(
-        f"f_{s} (mod {n}) did not converge within {_MAX_TERMS} terms at x={x!r}")
+        f"f_{s} (mod {n}) did not converge within {REFERENCE_MAX_TERMS} terms at x={x!r}")
 
 
 def raises_series_cap(spec, x):
@@ -436,3 +439,16 @@ def test_series_cap_is_an_explicit_error():
         modexp_series(ModExpSpec(2, 0), 1e8)
     with pytest.raises(SeriesCapError):
         modexp_all(2, 1e8)
+
+
+@pytest.mark.parametrize("radius", [714.5, 719.9])
+def test_range_bound_sits_above_every_evaluable_argument(radius):
+    # |x| > 720 is rejected before the kernel runs; from |x| = 714.5 the kernel's
+    # own terms are already past double range in every direction, so the bound
+    # turns away no argument the kernel could evaluate
+    for j in range(64):
+        x = cmath.rect(radius, 2 * math.pi * j / 64)
+        with pytest.raises(SeriesCapError, match=re.escape(str(_range_error(1, x)))):
+            modexp_all(1, x)
+    assert np.isfinite(modexp_all(1024, 713.9)).all()
+
