@@ -10,79 +10,11 @@ tied to the same Fourier matrix.
 
 __version__ = "0.1.0"
 
-from .fock import (
-    FockVector,
-    annihilate,
-    coherent_overlap_closed,
-    coherent_state,
-    create,
-    creation_dropped_weight,
-    inner_product,
-    rotated_overlap,
-    truncation_dim,
-)
-from .gates import (
-    clock_matrix,
-    shift_matrix,
-    unitarity_residual,
-    verify_clock_shift_decomposition,
-    weyl_commutation,
-)
-from .kaleidoscope import (
-    ConditioningWarning,
-    DegenerateAlpha,
-    GramReport,
-    KaleidoscopeBasis,
-    cat_states_raw,
-    dft_matrix,
-    gram,
-    kaleidoscope_basis,
-    normalization_constants,
-    raw_state_norm_sq_closed,
-    roots_lemma_sum,
-    rotated_coherent_states,
-)
-from .modexp import (
-    ModExpSpec,
-    SeriesCapError,
-    derivative_residue,
-    modexp_all,
-    modexp_roots,
-    modexp_series,
-)
+from . import fock, gates, kaleidoscope, modexp
+from .fock import *
+from .modexp import *
+from .kaleidoscope import *
+from .gates import *
 
-__all__ = [
-    "FockVector",
-    "annihilate",
-    "coherent_overlap_closed",
-    "coherent_state",
-    "create",
-    "creation_dropped_weight",
-    "inner_product",
-    "rotated_overlap",
-    "truncation_dim",
-    "ModExpSpec",
-    "SeriesCapError",
-    "derivative_residue",
-    "modexp_all",
-    "modexp_roots",
-    "modexp_series",
-    "ConditioningWarning",
-    "DegenerateAlpha",
-    "GramReport",
-    "KaleidoscopeBasis",
-    "cat_states_raw",
-    "dft_matrix",
-    "gram",
-    "kaleidoscope_basis",
-    "normalization_constants",
-    "raw_state_norm_sq_closed",
-    "roots_lemma_sum",
-    "rotated_coherent_states",
-    "clock_matrix",
-    "shift_matrix",
-    "unitarity_residual",
-    "verify_clock_shift_decomposition",
-    "weyl_commutation",
-    "__version__",
-]
+__all__ = [*fock.__all__, *modexp.__all__, *kaleidoscope.__all__, *gates.__all__,
+           "__version__"]

@@ -37,9 +37,9 @@ import numpy as np
 
 from . import __version__
 from .fock import coherent_overlap_closed, truncation_dim
-from .gates import (_permutation_unitarity, _root_residual, clock_matrix,
-                    shift_matrix, unitarity_residual,
-                    verify_clock_shift_decomposition, weyl_commutation)
+from .gates import (_permutation_unitarity, clock_matrix, shift_matrix,
+                    unitarity_residual, verify_clock_shift_decomposition,
+                    weyl_commutation)
 from .kaleidoscope import (dft_matrix, gram, kaleidoscope_basis,
                            roots_lemma_sum, rotated_coherent_states)
 from .modexp import ModExpSpec, _roots, modexp_roots, modexp_series
@@ -261,7 +261,7 @@ def cmd_gates(n: int):
         "decomposition_residual": verify_clock_shift_decomposition(n),
         "weyl_phase": phase,
         "weyl_residual": weyl_residual,
-        "weyl_root_residual": _root_residual(phase, n),
+        "weyl_root_residual": abs(phase ** n - 1.0),
     }
     code = 0 if all(value < GATES_TOLERANCE for key, value in payload.items()
                     if key != "weyl_phase") else 1

@@ -20,6 +20,10 @@ import numpy as np
 
 from .modexp import _check_finite, _check_n, _exp_terms, _index, _roots
 
+__all__ = ["FockVector", "annihilate", "coherent_overlap_closed", "coherent_state",
+           "create", "creation_dropped_weight", "inner_product", "rotated_overlap",
+           "truncation_dim"]
+
 # A Fock vector is a 1-d complex128 array; its length is the truncation dim.
 FockVector = np.ndarray
 
@@ -83,9 +87,12 @@ def coherent_overlap_closed(alpha: complex, beta: complex) -> complex:
 
     Evaluates ``exp(-|alpha|^2/2 - |beta|^2/2 + conj(alpha)*beta)``, whose
     magnitude is at most 1; the exponent cancels where beta is near alpha, so
-    the computed one may exceed 1 by about 1e-16 * |alpha|^2.  Any amplitude
-    whose square is a finite double is taken; one whose square overflows
-    raises ValueError.
+    the computed one may exceed 1 by about 1e-16 * |alpha|^2 (3.8e-6 at
+    |alpha| = 1e5).  An amplitude whose square overflows raises ValueError.
+    From |alpha| near 3e9 the cancelled exponent of a near pair can itself
+    overflow, and ``cmath.exp`` raises a bare OverflowError, as for
+    ``coherent_overlap_closed(1e150, 1e150 * (1 + 2**-52))``.  ROADMAP item
+    11 replaces the exponent with one that does not cancel.
     """
     lam_alpha, lam_beta = _squared(alpha), _squared(beta)
     return cmath.exp(-lam_alpha / 2.0 - lam_beta / 2.0

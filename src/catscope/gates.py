@@ -28,6 +28,9 @@ import numpy as np
 from .kaleidoscope import dft_matrix
 from .modexp import _check_n, _roots
 
+__all__ = ["clock_matrix", "shift_matrix", "unitarity_residual",
+           "verify_clock_shift_decomposition", "weyl_commutation"]
+
 
 def clock_matrix(n: int) -> np.ndarray:
     """Diagonal clock matrix diag(1, omega, ..., omega^(n-1)), omega = exp(2*pi*1j/n)."""
@@ -82,10 +85,6 @@ def weyl_commutation(n: int) -> tuple[complex, float]:
     phase /= abs(phase)
     residual = float(np.max(np.abs(left - phase * right)))
     return phase, residual
-
-
-def _root_residual(phase: complex, n: int) -> float:
-    return abs(phase ** n - 1.0)
 
 
 def _permutation_unitarity(matrix: np.ndarray) -> float:

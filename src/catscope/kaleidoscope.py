@@ -24,6 +24,11 @@ import numpy as np
 from .fock import _intensity, coherent_state, truncation_dim
 from .modexp import ModExpSpec, _check_n, _index, _roots, modexp_all
 
+__all__ = ["ConditioningWarning", "DegenerateAlpha", "GramReport", "KaleidoscopeBasis",
+           "cat_states_raw", "dft_matrix", "gram", "kaleidoscope_basis",
+           "normalization_constants", "raw_state_norm_sq_closed", "roots_lemma_sum",
+           "rotated_coherent_states"]
+
 
 class DegenerateAlpha(ValueError):
     """Some cat state for this (n, alpha) does not exist in double precision.

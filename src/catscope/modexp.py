@@ -44,6 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["ModExpSpec", "SeriesCapError", "derivative_residue", "modexp_all",
+           "modexp_roots", "modexp_series"]
+
 # Relative term-size threshold at which the series has converged, with an
 # absolute floor so x = 0 terminates on its exact zero terms.
 _REL_TOL = 1e-18

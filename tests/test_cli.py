@@ -382,6 +382,21 @@ def test_block_buffered_stdout_keeps_every_byte(path, args):
     assert proc.stdout == path.read_bytes()
 
 
+def _entry_point() -> list[str]:
+    """The installed ``catscope`` script beside this interpreter, else what it runs."""
+    script = Path(sys.executable).with_name("catscope")
+    if script.is_file():
+        return [str(script)]
+    return [sys.executable, "-c", "from catscope.cli import run; run()"]
+
+
+@pytest.mark.parametrize("path,args", FIXTURE_COMMANDS, ids=lambda v: getattr(v, "name", ""))
+def test_entry_point_writes_every_fixture(path, args):
+    proc = subprocess.run([*_entry_point(), *args], capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == path.read_bytes()
+
+
 def test_out_file_past_the_buffer_matches_stdout(tmp_path):
     args = ("overlap", "--n", "64", "--alpha", "4+0i", "--format", "csv")
     out = tmp_path / "overlap.csv"
