@@ -4,8 +4,9 @@ Subcommands: basis, modexp, lemma, gates, overlap.  The ``COMMANDS`` table is
 the single description of each one (its options and their defaults, its
 bound on n, its CSV writer of header and rows); the parser, the dispatch to
 ``cmd_<name>``, the output record and the CSV rendering are all built from it.
-An argv that starts with a command name is parsed in one pass, by that
-command's own parser; the top-level parser still rejects what it leaves over.
+An argv that starts with a command name is parsed by that command's own
+parser alone, so a usage error after the name prints that command's usage;
+every other argv goes to the top-level parser.
 
 Output goes to stdout (or the --out file) as JSON by default or CSV with
 --format csv; diagnostics, library warnings included, go to stderr.
@@ -13,10 +14,9 @@ Serialization is deterministic: fixed key order, floats rendered with 17
 significant digits (``.17g``) so values round-trip exactly.  Each table is
 rendered from its structure by ``_text_rows``: an overlap table from its
 circulant's first row, rendered once and rotated; the basis from its scatter,
-its dim in-class cells and one zero for the rest.  Any other array goes cell
-by cell, as the nested lists of its ``tolist()``.  JSON and CSV go out a table
-row at a time, written as they are made; a CSV row is one list of slots,
-joined once.
+its dim in-class cells and one zero for the rest.  JSON and CSV go out a
+table row at a time, written as they are made; a CSV row is one list of
+slots, joined once.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
@@ -132,7 +132,7 @@ def _to_json(value, write) -> None:
     elif isinstance(value, dict):
         write("{")
         for i, (key, item) in enumerate(value.items()):
-            write(("," if i else "") + encode_basestring_ascii(str(key)) + ":")
+            write(("," if i else "") + encode_basestring_ascii(key) + ":")
             _to_json(item, write)
         write("}")
     elif isinstance(value, (_Circulant, _Scattered)):  # complex: {"re","im"} items
@@ -140,9 +140,7 @@ def _to_json(value, write) -> None:
         for i, cells in enumerate(_text_rows(_JSON_COMPLEX.__mod__, value)):
             write(("," if i else "") + "[" + ",".join(cells) + "]")
         write("]")
-    elif isinstance(value, np.ndarray):
-        _to_json(value.tolist(), write)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, list):
         write("[")
         for i, item in enumerate(value):
             if i:
@@ -349,20 +347,17 @@ _PARSER, _COMMAND_PARSERS = _build_parser()
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
-    """``_PARSER.parse_args(argv)``, in one pass where ``argv[0]`` names a command.
+    """Parse ``argv`` by the parser of the command it starts with, else by ``_PARSER``.
 
-    Past the command name the top-level parser hands the rest to that
-    command's parser and rejects what it leaves over, so that parser is called
-    straight.  An argument starting ``--=`` still takes the top-level pass: the
-    top-level parser rejects it first, as ambiguous between --help and --version.
+    The command parsers are ``_PARSER``'s own subparsers, so an argv that
+    parses gives the namespace ``_PARSER`` would, in one pass; a usage error
+    after the command name prints that command's usage.  ``_PARSER`` takes an
+    empty argv, ``-h``, ``--version`` and an unknown command.
     """
     parser = _COMMAND_PARSERS.get(argv[0]) if argv else None
-    if parser is None or any(arg.startswith("--=") for arg in argv):
+    if parser is None:
         return _PARSER.parse_args(argv)
-    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _format_warning(message, category, *_) -> str:

@@ -118,8 +118,9 @@ def rotated_overlap(alpha: complex, n: int, k: int, l: int) -> complex:
     _check_n(n)
     if not (0 <= _index(k, "k") < n and 0 <= _index(l, "l") < n):
         raise ValueError(f"vertex indices must lie in [0, {n}), got k={k}, l={l}")
-    # a Python complex: numpy's scalar multiply warns where the product overflows
-    return cmath.exp(lam * (complex(_roots(n)[(l - k) % n]) - 1.0))
+    # one entry of the roots table, not the table; then a Python complex, since
+    # numpy's scalar multiply warns where the product overflows
+    return cmath.exp(lam * (complex(_roots(n, np.array([(l - k) % n]))[0]) - 1.0))
 
 
 def annihilate(v: FockVector) -> FockVector:

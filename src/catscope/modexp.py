@@ -14,7 +14,8 @@ independent routes:
 * :func:`modexp_roots` averages plain exponentials over the n-th roots of
   unity, ``f_s(x) = (1/n) * sum_j conj(w2)^(j*s) * exp(w2^j * x)`` with
   ``w2 = exp(2*pi*1j/n)``.  ``_roots(n)`` tabulates the ``w2^j``; every root
-  in the package is an entry of it, at an exponent reduced mod n.
+  in the package is an entry of it, at an exponent reduced mod n, or that
+  entry alone, from ``_roots(n, exponents)``.
 
 :func:`modexp_all` is the one-pass series kernel for the whole family: the
 terms ``x^m/m!`` of ``_exp_terms``, one cumulative product of ``x/m``, are
@@ -75,9 +76,12 @@ def _check_n(n: int) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
-def _roots(n: int) -> np.ndarray:
-    """The n-th roots of unity ``w2^j = exp(2*pi*1j*j/n)`` for j in [0, n)."""
-    return np.exp(2j * np.pi * np.arange(n) / n)
+def _roots(n: int, exponents=None) -> np.ndarray:
+    """The n-th roots of unity ``w2^j = exp(2*pi*1j*j/n)`` for j in [0, n).
+
+    Given an int array of ``exponents`` in [0, n), just those entries, bit for bit.
+    """
+    return np.exp(2j * np.pi * (np.arange(n) if exponents is None else exponents) / n)
 
 
 def _exp_terms(first: float, x: complex, count: int) -> np.ndarray:

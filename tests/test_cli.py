@@ -114,7 +114,7 @@ def test_parse_complex_is_the_three_regex_parser(text):
 
 
 def test_dumps_round_trips_byte_identically():
-    # The payload holds ndarrays, rendered in bulk; json.loads gives dicts and
+    # The payload holds tables, rendered in bulk; json.loads gives dicts and
     # lists, rendered one float at a time.  parse_int=float keeps the sign of
     # "-0", which an int would drop.
     for command in (cli.cmd_basis, cli.cmd_overlap):
@@ -160,8 +160,8 @@ def test_g17_formats_each_bit_pattern_like_format(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     text = [format(v, ".17g") for v in values.tolist()]
     assert _distinct_text("%.17g".__mod__, values) == text
-    assert cli.dumps_record(values) == "[" + ",".join(text) + "]"
-    assert cli.dumps_record(values.reshape(-1, 1)) == "[" + ",".join(
+    assert cli.dumps_record(values.tolist()) == "[" + ",".join(text) + "]"
+    assert cli.dumps_record([[v] for v in values.tolist()]) == "[" + ",".join(
         f"[{cell}]" for cell in text) + "]"
 
 
@@ -176,22 +176,9 @@ def test_complex_cells_render_each_bit_pair_like_format(pairs):
     expected = ['{"re":%s,"im":%s}' % (format(re, ".17g"), format(im, ".17g"))
                 for re, im in parts]
     assert _distinct_text(cli._JSON_COMPLEX.__mod__, values.real, values.imag) == expected
-    assert cli.dumps_record(values) == "[" + ",".join(expected) + "]"
-    assert cli.dumps_record(values.reshape(-1, 1)) == "[" + ",".join(
+    assert cli.dumps_record(values.tolist()) == "[" + ",".join(expected) + "]"
+    assert cli.dumps_record([[v] for v in values.tolist()]) == "[" + ",".join(
         f"[{cell}]" for cell in expected) + "]"
-
-
-def test_array_of_any_shape_round_trips_to_its_shape():
-    value = np.arange(8).reshape(2, 2, 2) + 0j
-    parsed = json.loads(cli.dumps_record(value))
-    assert np.array(parsed).shape == (2, 2, 2)
-    assert parsed == [[[{"re": re, "im": 0} for re in row] for row in block]
-                      for block in value.real.tolist()]
-
-
-def test_real_and_int_arrays_serialize_as_numbers():
-    assert cli.dumps_record(np.array([1.5, -0.0])) == "[1.5,-0]"
-    assert cli.dumps_record({"x": np.array([1, 2])}) == '{"x":[1,2]}'
 
 
 @settings(deadline=None, max_examples=60)
@@ -213,14 +200,6 @@ def test_scattered_rows_match_the_distinct_cell_reference(n, alpha, eps):
         cells = _distinct_text(render, states.real, states.imag)
         assert list(cli._text_rows(render, cli._Scattered(states))) == [
             cells[k * dim:(k + 1) * dim] for k in range(n)]
-
-
-@pytest.mark.parametrize("shape,text", [((0,), "[]"), ((3, 0), "[[],[],[]]"),
-                                        ((0, 3), "[]")])
-def test_empty_complex_array_serializes_as_nested_lists(shape, text):
-    value = np.zeros(shape, dtype=complex)
-    assert cli.dumps_record(value) == text
-    assert json.loads(text) == value.tolist()
 
 
 def _oracle_c(value) -> dict:
@@ -1009,19 +988,21 @@ ARGV_CORPUS = [
     [], ["--version"], ["-h"], ["--help"], ["--version", "gates"], ["-h", "gates"],
     ["nosuchcommand"], ["Gates", "--n", "3"], ["basis"],
     ["gates", "--n", "3"], ["gates", "--n=3", "--format=csv"],
-    ["gates", "--n", "3", "--version"], ["gates", "--help"], ["gates", "-h"],
-    ["gates", "--n", "3", "-h"], ["gates", "--n", "3", "extra"],
-    ["gates", "--n", "3", "--bogus", "x"], ["gates", "-n", "3"],
+    ["gates", "--help"], ["gates", "-h"], ["gates", "--n", "3", "-h"], ["gates", "-n", "3"],
     ["gates", "--n"], ["gates", "--n", "x"], ["gates", "--n", "3", "--n", "4"],
     ["gates", "--n", "3", "--format", "xml"], ["gates", "--n", "3", "--fo", "csv"],
-    ["gates", "--n", "3", "--f=csv", "--o", "record.json"],
-    ["gates", "--", "--n", "3"], ["gates", "--n", "3", "--"], ["gates", "--n", "3", "--", "x"],
-    ["gates", "--=x"], ["gates", "--n", "3", "--=3"],
+    ["gates", "--n", "3", "--f=csv", "--o", "record.json"], ["gates", "--", "--n", "3"],
     ["basis", "--n", "2", "--al", "1+0i", "--e", "1e-6"], ["basis", "--n", "2", "--alpha"],
     ["basis", "--n", "2", "--alpha", "-1.5i"], ["basis", "--n", "2", "--alpha=-1.5i"],
     ["modexp", "--n", "1", "--s", "0", "--x=-40"], ["modexp", "--n", "1", "--s", "0", "--x", "-40"],
     ["lemma", "--n", "4", "--m", "1", "--s", "0", "--format", "csv", "--out", "-"],
     ["overlap", "--n", "2", "--alpha", "1", "--eps", "1e-3", "--eps", "1e-6"],
+]
+# Usage errors that the command's parser finds and reports with its own usage.
+COMMAND_USAGE_ERRORS = [
+    ["gates", "--n", "3", "extra"], ["gates", "--n", "3", "--bogus", "x"],
+    ["gates", "--n", "3", "--version"], ["gates", "--n", "3", "--"],
+    ["gates", "--n", "3", "--", "x"], ["gates", "--=x"], ["gates", "--n", "3", "--=3"],
 ]
 
 
@@ -1033,12 +1014,27 @@ def _parse_outcome(parse, argv, capsys):
     return outcome, capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=lambda argv: " ".join(argv) or "(none)")
+def _argv_id(argv) -> str:
+    return " ".join(argv) or "(none)"
+
+
+@pytest.mark.parametrize("argv", ARGV_CORPUS, ids=_argv_id)
 def test_one_pass_parse_matches_the_top_level_parser(argv, capsys):
     expected = _parse_outcome(cli._PARSER.parse_args, argv, capsys)
     assert _parse_outcome(cli._parse_args, argv, capsys) == expected
     if isinstance(expected[0], tuple):  # rejected before any command runs
         assert _parse_outcome(cli.main, argv, capsys) == expected
+
+
+@pytest.mark.parametrize("argv", COMMAND_USAGE_ERRORS, ids=_argv_id)
+def test_command_usage_error_prints_the_command_usage(argv, capsys):
+    # argparse's wording after "error:" differs between Python versions
+    for parse in (cli._parse_args, cli.main):
+        outcome, (out, err) = _parse_outcome(parse, argv, capsys)
+        assert outcome == ("exit", 2)
+        assert out == ""
+        assert err.splitlines()[0].startswith("usage: catscope gates")
+        assert err.splitlines()[-1].startswith("catscope gates: error:")
 
 
 def test_a_command_argv_takes_one_parser_pass(monkeypatch):
@@ -1050,10 +1046,11 @@ def test_a_command_argv_takes_one_parser_pass(monkeypatch):
         "command": "gates", "format": "json", "out": None, "n": 3}
 
 
-def test_unrecognized_arguments_come_from_the_top_level_parser(capsys):
+def test_unrecognized_arguments_come_from_the_command_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gates", "--n", "3", "extra", "--bogus"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: catscope [-h] [--version] {basis,")
-    assert err.endswith("\ncatscope: error: unrecognized arguments: extra --bogus\n")
+    assert err.startswith("usage: catscope gates [-h] ")
+    last = err.splitlines()[-1]
+    assert last.startswith("catscope gates: error:") and last.endswith(" extra --bogus")

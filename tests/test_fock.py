@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import time
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from catscope import (
     annihilate,
@@ -234,6 +236,26 @@ def test_rotated_overlap_past_the_exponent_overflow_gives_no_warning(alpha, n):
         with np.errstate(over="ignore"):
             expected = cmath.exp(abs(alpha) ** 2 * (roots[l] - 1.0))
         assert np.array(value).tobytes() == np.array(expected).tobytes()
+
+
+@given(st.integers(1, 10 ** 5).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(0, n - 1), st.integers(0, n - 1))),
+       st.complex_numbers(max_magnitude=30, allow_nan=False, allow_infinity=False))
+def test_rotated_overlap_reads_the_root_table_entry(nkl, alpha):
+    n, k, l = nkl
+    lam = abs(complex(alpha)) ** 2
+    expected = cmath.exp(lam * (complex(_roots(n)[(l - k) % n]) - 1.0))
+    value = rotated_overlap(alpha, n, k, l)
+    assert np.array(value).tobytes() == np.array(expected).tobytes()
+
+
+def test_rotated_overlap_takes_constant_memory_in_n():
+    # the table of all 2^40 roots would take 16 TiB
+    start = time.perf_counter()
+    value = rotated_overlap(1.0, 2 ** 40, 0, 1)
+    assert time.perf_counter() - start < 0.5
+    assert value == pytest.approx(cmath.exp(cmath.exp(2j * math.pi / 2 ** 40) - 1.0),
+                                  rel=1e-15)
 
 
 def test_rotated_overlap_rejects_out_of_range_vertices():
