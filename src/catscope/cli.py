@@ -16,7 +16,7 @@ rendered from its structure by ``_text_rows``: an overlap table from its
 circulant's first row, rendered once and rotated; the basis from its scatter,
 its dim in-class cells and one zero for the rest.  JSON and CSV go out a
 table row at a time, written as they are made; a CSV row is one list of
-slots, joined once.
+slots, joined once.  ``dumps_record`` writes every JSON record.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
@@ -151,11 +151,14 @@ def _to_json(value, write) -> None:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def dumps_record(record: dict) -> str:
-    """Serialize an output record to its canonical JSON byte form."""
-    parts: list = []
-    _to_json(record, parts.append)
-    return "".join(parts)
+def dumps_record(record: dict, write) -> None:
+    """Pass an output record's canonical JSON, then its closing newline, to ``write``.
+
+    Every JSON record goes out through here: ``main`` passes its output's
+    ``write``, which takes each table a row per call.
+    """
+    _to_json(record, write)
+    write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +387,8 @@ def main(argv=None) -> int:
         with (open(args.out, "w", encoding="utf-8") if args.out
               else contextlib.nullcontext(sys.stdout)) as handle:
             if args.format == "json":
-                _to_json({"command": args.command, "params": values,
-                          "payload": payload, "tool_version": __version__}, handle.write)
-                handle.write("\n")
+                dumps_record(dict(command=args.command, params=values, payload=payload,
+                                  tool_version=__version__), handle.write)
             else:
                 handle.writelines(command.csv_rows(values, payload))
             handle.flush()  # here, not at exit, so a failing flush meets these handlers

@@ -108,7 +108,7 @@ def rotated_overlap(alpha: complex, n: int, k: int, l: int) -> complex:
 
     Args:
         alpha: coherent amplitude of the unrotated copy.
-        n: number of vertices, at least 1.
+        n: number of vertices, at least 1 and below 2**63.
         k, l: vertex indices in [0, n).
 
     Any amplitude whose square is a finite double is taken; one whose square
@@ -116,6 +116,8 @@ def rotated_overlap(alpha: complex, n: int, k: int, l: int) -> complex:
     """
     lam = _squared(alpha)
     _check_n(n)
+    if n >= 2 ** 63:  # so that (l - k) mod n fits the int64 exponent array below
+        raise ValueError(f"n must be < 2**63, got {n}")
     if not (0 <= _index(k, "k") < n and 0 <= _index(l, "l") < n):
         raise ValueError(f"vertex indices must lie in [0, {n}), got k={k}, l={l}")
     # one entry of the roots table, not the table; then a Python complex, since

@@ -202,7 +202,9 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     classes = levels % n
     amps = coherent_state(alpha, dim)
     # the class weights are summed as zero-padded dim-long rows, not per class:
-    # the basis golden pins the bits of that grouping of the sums
+    # test_basis_keeps_the_dense_row_scaling_bits_in_class and
+    # test_scattered_basis_matches_masked_assembly_bit_for_bit pin the bits of
+    # that grouping; per-class sums keep the goldens' and CSV fixtures' bytes
     weights = np.zeros((n, dim))
     weights[classes, levels] = (amps.conj() * amps).real
     amps /= np.sqrt(np.add.reduce(weights, 1))[classes]

@@ -9,6 +9,7 @@ failure) and then asserts, so the whole gate reads as a checklist:
 import cmath
 import json
 import math
+import runpy
 import subprocess
 import sys
 import time
@@ -200,13 +201,9 @@ def test_criterion_09_mod_n_support_and_ladder_shift():
 
 
 def test_criterion_10_cli_golden_outputs_and_exit_codes():
-    goldens = {
-        "basis_n3_alpha1.json": ["basis", "--n", "3", "--alpha", "1+0i"],
-        "lemma_n4_m2_s0.json": ["lemma", "--n", "4", "--m", "2", "--s", "0"],
-        "gates_n3.json": ["gates", "--n", "3"],
-    }
+    goldens = runpy.run_path(str(GOLDEN_DIR.parent / "generate_goldens.py"))
     byte_identical = True
-    for name, args in goldens.items():
+    for name, args in goldens["GOLDEN_COMMANDS"].items():
         proc = subprocess.run([sys.executable, "-m", "catscope", *args],
                               capture_output=True)
         byte_identical &= proc.returncode == 0

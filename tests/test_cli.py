@@ -113,6 +113,14 @@ def test_parse_complex_is_the_three_regex_parser(text):
 # -------------------------------------------------------------- serialization
 
 
+def _dumps(value) -> str:
+    """The JSON text ``cli.dumps_record`` writes for ``value``, its closing newline taken off."""
+    parts = []
+    cli.dumps_record(value, parts.append)
+    assert parts.pop() == "\n"
+    return "".join(parts)
+
+
 def test_dumps_round_trips_byte_identically():
     # The payload holds tables, rendered in bulk; json.loads gives dicts and
     # lists, rendered one float at a time.  parse_int=float keeps the sign of
@@ -122,8 +130,8 @@ def test_dumps_round_trips_byte_identically():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConditioningWarning)
                 payload, _ = command(n, 0.7 + 0.2j, 1e-14)
-            text = cli.dumps_record(payload)
-            assert cli.dumps_record(json.loads(text, parse_int=float)) == text
+            text = _dumps(payload)
+            assert _dumps(json.loads(text, parse_int=float)) == text
 
 
 # +-0, the smallest and the largest subnormal, the smallest normal, the
@@ -160,8 +168,8 @@ def test_g17_formats_each_bit_pattern_like_format(bits):
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     text = [format(v, ".17g") for v in values.tolist()]
     assert _distinct_text("%.17g".__mod__, values) == text
-    assert cli.dumps_record(values.tolist()) == "[" + ",".join(text) + "]"
-    assert cli.dumps_record([[v] for v in values.tolist()]) == "[" + ",".join(
+    assert _dumps(values.tolist()) == "[" + ",".join(text) + "]"
+    assert _dumps([[v] for v in values.tolist()]) == "[" + ",".join(
         f"[{cell}]" for cell in text) + "]"
 
 
@@ -176,8 +184,8 @@ def test_complex_cells_render_each_bit_pair_like_format(pairs):
     expected = ['{"re":%s,"im":%s}' % (format(re, ".17g"), format(im, ".17g"))
                 for re, im in parts]
     assert _distinct_text(cli._JSON_COMPLEX.__mod__, values.real, values.imag) == expected
-    assert cli.dumps_record(values.tolist()) == "[" + ",".join(expected) + "]"
-    assert cli.dumps_record([[v] for v in values.tolist()]) == "[" + ",".join(
+    assert _dumps(values.tolist()) == "[" + ",".join(expected) + "]"
+    assert _dumps([[v] for v in values.tolist()]) == "[" + ",".join(
         f"[{cell}]" for cell in expected) + "]"
 
 
@@ -477,9 +485,26 @@ def test_json_is_written_a_table_row_at_a_time(command, monkeypatch):
     record = json.loads(log.getvalue(), parse_int=float)  # "-0" keeps its sign
     rows = [row for key in JSON_TABLES[command] for row in record["payload"][key]]
     assert len(log.writes) > len(rows)
-    longest_row = max(len(cli.dumps_record(row)) for row in rows)
+    longest_row = max(len(_dumps(row)) for row in rows)
     assert max(map(len, log.writes)) <= longest_row + 1  # a row and the comma before it
-    assert "".join(log.writes) == cli.dumps_record(record) + "\n"
+    assert "".join(log.writes) == _dumps(record) + "\n"
+
+
+def test_main_writes_json_through_dumps_record(monkeypatch, capsys):
+    calls, written = [], []
+    dumps_record = cli.dumps_record
+
+    def recorder(record, write):
+        calls.append(record)
+        dumps_record(record, lambda text: written.append(text) or write(text))
+
+    monkeypatch.setattr(cli, "dumps_record", recorder)
+    assert cli.main(["gates", "--n", "3"]) == 0
+    assert calls == [{"command": "gates", "params": {"n": 3},
+                      "payload": cli.cmd_gates(3)[0], "tool_version": cli.__version__}]
+    assert capsys.readouterr().out == "".join(written)
+    assert cli.main(["gates", "--n", "3", "--format", "csv"]) == 0
+    assert len(calls) == 1  # CSV goes out through the command's csv_rows
 
 
 # ------------------------------------------------------------------ commands

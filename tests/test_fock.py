@@ -258,6 +258,18 @@ def test_rotated_overlap_takes_constant_memory_in_n():
                                   rel=1e-15)
 
 
+@pytest.mark.parametrize("n", [2 ** 64, 2 ** 70])
+@pytest.mark.parametrize("k,l", [(0, 1), (1, 0)])
+def test_rotated_overlap_rejects_n_past_int64_at_every_vertex_pair(n, k, l):
+    # (l - k) mod n is 1 for one order and n - 1 for the other: n alone decides
+    with pytest.raises(ValueError, match=f"got {n}$"):
+        rotated_overlap(1.0, n, k, l)
+
+
+def test_rotated_overlap_takes_the_largest_int64_n():
+    assert rotated_overlap(1.0, 2 ** 63 - 1, 0, 1) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_rotated_overlap_rejects_out_of_range_vertices():
     with pytest.raises(ValueError):
         rotated_overlap(1.0, 3, 0, 3)
