@@ -37,9 +37,8 @@ import numpy as np
 
 from . import __version__
 from .fock import coherent_overlap_closed, truncation_dim
-from .gates import (_permutation_unitarity, clock_matrix, shift_matrix,
-                    unitarity_residual, verify_clock_shift_decomposition,
-                    weyl_commutation)
+from .gates import (clock_matrix, shift_matrix, unitarity_residual,
+                    verify_clock_shift_decomposition, weyl_commutation)
 from .kaleidoscope import (dft_matrix, gram, kaleidoscope_basis,
                            roots_lemma_sum, rotated_coherent_states)
 from .modexp import ModExpSpec, _roots, modexp_roots, modexp_series
@@ -258,7 +257,7 @@ def cmd_gates(n: int):
     payload = {
         "unitarity_dft": unitarity_residual(dft_matrix(n)),
         "unitarity_clock": unitarity_residual(clock_matrix(n)),
-        "unitarity_shift": _permutation_unitarity(shift_matrix(n)),
+        "unitarity_shift": unitarity_residual(shift_matrix(n)),
         "decomposition_residual": verify_clock_shift_decomposition(n),
         "weyl_phase": phase,
         "weyl_residual": weyl_residual,

@@ -14,18 +14,23 @@ exp(-2*pi*1j/n)``, the consistent triple is
 Flipping the sign of ``omega`` instead pairs with the opposite shift
 direction; mixing the conventions produces an order-1 residual.
 
-The matrices are dense, and so are the unitarity check and the Fourier
-conjugation, O(n^3) each; the CLI takes n <= 1024.  The Weyl commutation is
-computed from the structure instead: the shift is a permutation and the clock
-diagonal, so each product has one entry per row and O(n) work gives the dense
-products' values bit for bit.  A permutation matrix is unitary exactly.
+A matrix is unitary exactly when its rows are orthonormal states, so the
+unitarity residual is :func:`~catscope.kaleidoscope.gram`'s deviation of its
+rows, the package's one orthonormality check.  A 0/1 permutation matrix is
+unitary exactly in floating point too, and ``unitarity_residual`` answers it
+0.0 without the product.  The matrices are dense, and so are the DFT and
+clock unitarity checks and the Fourier conjugation, O(n^3) each; the CLI
+takes n <= 1024.  The Weyl commutation is computed from the structure
+instead: the shift is a permutation and the clock diagonal, so each product
+has one entry per row and O(n) work gives the dense products' values bit for
+bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kaleidoscope import dft_matrix
+from .kaleidoscope import dft_matrix, gram
 from .modexp import _check_n, _roots
 
 __all__ = ["clock_matrix", "shift_matrix", "unitarity_residual",
@@ -46,10 +51,21 @@ def shift_matrix(n: int) -> np.ndarray:
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:
-    """Max entrywise deviation of M M^dag from the identity."""
-    matrix = np.asarray(matrix, dtype=complex)
-    n = matrix.shape[0]
-    return float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(n))))
+    """Max entrywise deviation of M M^dag from the identity: ``gram(M).max_deviation``.
+
+    The rows are read as :func:`~catscope.kaleidoscope.gram` reads states, so
+    a 1-D input is one row.  A 0/1 permutation matrix gives exactly 0.0 in
+    floating point too, and is answered so without the product.  Its entries
+    sum to its row count exactly, and that one pass is tested first, so a
+    dense matrix goes to the product before any entrywise test.
+    """
+    matrix = np.atleast_2d(matrix)
+    if matrix.sum() == len(matrix):
+        ones = matrix == 1
+        if ((ones | (matrix == 0)).all() and (ones.sum(axis=0) == 1).all()
+                and (ones.sum(axis=1) == 1).all()):
+            return 0.0
+    return gram(matrix).max_deviation
 
 
 def verify_clock_shift_decomposition(n: int) -> float:
@@ -79,22 +95,10 @@ def weyl_commutation(n: int) -> tuple[complex, float]:
     """
     _check_n(n)
     right = _roots(n)  # the entries of S3 S1, row by row
-    left = np.roll(right, 1)  # those of S1 S3
+    left = right[np.arange(-1, n - 1)]  # those of S1 S3: row i of S1 is e_(i-1)
     row = np.argmax(np.abs(right))
     phase = complex(left[row] / right[row])
     phase /= abs(phase)
     residual = float(np.max(np.abs(left - phase * right)))
     return phase, residual
 
-
-def _permutation_unitarity(matrix: np.ndarray) -> float:
-    """:func:`unitarity_residual`, exactly 0.0 without the product for a permutation.
-
-    The product of a 0/1 permutation matrix and its adjoint is the identity in
-    floating point too; any other matrix takes the dense check.
-    """
-    ones = matrix == 1
-    if ((ones | (matrix == 0)).all() and (ones.sum(axis=0) == 1).all()
-            and (ones.sum(axis=1) == 1).all()):
-        return 0.0
-    return unitarity_residual(matrix)

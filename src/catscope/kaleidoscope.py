@@ -150,12 +150,13 @@ def normalization_constants(n: int, alpha: complex) -> np.ndarray:
     lam = _intensity(alpha)  # rejects |alpha|^2 > 700 before exp(lam) overflows
     values = modexp_all(n, lam)
     weights = math.exp(-lam) * values
-    if weights.min() < _TINY:
+    smallest = weights.min()
+    if smallest < _TINY:
         k = int((weights < _TINY).argmax())
         raise DegenerateAlpha(
             f"DegenerateAlpha: exp(-|alpha|^2) * f_{k}(|alpha|^2) = {weights[k]:.3e} "
             f"is below the smallest normal double; cat state {k} does not exist")
-    if weights.min() < 1e-12:
+    if smallest < 1e-12:
         worst = int((weights < 1e-12).argmax())
         warnings.warn(
             f"f_{worst}(|alpha|^2) = {values[worst]:.3e} is below "

@@ -8,12 +8,13 @@ import pytest
 from catscope import (
     clock_matrix,
     dft_matrix,
+    gates,
+    gram,
     shift_matrix,
     unitarity_residual,
     verify_clock_shift_decomposition,
     weyl_commutation,
 )
-from catscope.gates import _permutation_unitarity
 
 
 def conjugated_clock_oracle(n):
@@ -108,6 +109,12 @@ def bits(*values):
     return np.array(values, dtype=float).view(np.uint64).tolist()
 
 
+def unitarity_reference(matrix):
+    """The dense M M^dag - I formula that unitarity_residual replaced by gram."""
+    n = matrix.shape[0]
+    return float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(n))))
+
+
 def test_structured_gates_match_dense_products_bit_for_bit():
     for n in range(1, 257):
         (phase, residual), (dense_phase, dense_residual) = (
@@ -115,16 +122,63 @@ def test_structured_gates_match_dense_products_bit_for_bit():
         assert bits(phase.real, phase.imag, residual) == bits(
             dense_phase.real, dense_phase.imag, dense_residual), n
         shift = shift_matrix(n)
-        assert bits(_permutation_unitarity(shift)) == bits(unitarity_residual(shift)), n
+        assert bits(unitarity_residual(shift)) == bits(unitarity_reference(shift)), n
 
 
 def test_permutation_unitarity_takes_the_dense_check_off_a_permutation():
     for entry in (0.5, 1j, 1.0):  # not 0 or 1, or a second 1 in row 0
         shift = shift_matrix(5)
         shift[0, 0] = entry
-        assert _permutation_unitarity(shift) == unitarity_residual(shift) > 0.1
+        assert unitarity_residual(shift) == unitarity_reference(shift) > 0.1
     shift[0, 0] = np.nan
-    assert np.isnan(_permutation_unitarity(shift))
+    assert np.isnan(unitarity_residual(shift))
+
+
+def test_unitarity_is_grams_deviation_bit_for_bit():
+    for n in range(1, 257):
+        for matrix in (dft_matrix(n), clock_matrix(n)):
+            assert bits(unitarity_residual(matrix)) == bits(unitarity_reference(matrix)), n
+    rng = np.random.default_rng(27)
+    for rows, cols in [(1, 1), (2, 2), (3, 2), (2, 3), (8, 8), (5, 17), (17, 5), (64, 64)]:
+        for _ in range(10):
+            matrix = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+            assert bits(unitarity_residual(matrix)) == bits(unitarity_reference(matrix))
+
+
+def counting_gram(monkeypatch):
+    calls = []
+
+    def spy(states):
+        calls.append(np.shape(states))
+        return gram(states)
+
+    monkeypatch.setattr(gates, "gram", spy)
+    return calls
+
+
+def test_permutations_are_unitary_exactly_without_the_product(monkeypatch):
+    calls = counting_gram(monkeypatch)
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 3, 8, 64, 257):
+        for _ in range(5):
+            permutation = np.eye(n)[rng.permutation(n)]
+            assert unitarity_residual(permutation) == unitarity_reference(permutation) == 0.0
+            assert unitarity_residual(permutation.astype(complex)) == 0.0
+            assert unitarity_residual(permutation.astype(int)) == 0.0
+    assert calls == []
+
+
+def test_a_repeated_unit_row_takes_the_dense_check(monkeypatch):
+    calls = counting_gram(monkeypatch)
+    # a 0/1 matrix whose entries sum to its 3 rows, one 1 per row but not per column
+    matrix = np.array([[1, 0], [0, 1], [1, 0]], dtype=complex)
+    assert unitarity_residual(matrix) == unitarity_reference(matrix) == 1.0
+    assert calls == [(3, 2)]
+
+
+def test_a_1d_input_is_one_row():
+    assert unitarity_residual([0, 1, 0]) == 0.0
+    assert unitarity_residual([1, 1j]) == gram([1, 1j]).max_deviation == 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 12])
