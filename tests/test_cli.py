@@ -13,13 +13,14 @@ import warnings
 from pathlib import Path
 
 import jsonschema
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from catscope import (ConditioningWarning, DegenerateAlpha, cli, coherent_state, gates,
                       kaleidoscope_basis, weyl_commutation)
+
+import oracles
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = json.loads((FIXTURES / "output_record.schema.json").read_text())
@@ -630,9 +631,7 @@ def test_modexp_sum_past_double_range_of_finite_terms_exits_0(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     payload = json.loads(captured.out)["payload"]
-    with mp.workdps(40):  # f_100(709), mod 200, at 40 digits
-        expected = float(mp.fsum(mp.mpf(709) ** m / mp.factorial(m)
-                                 for m in range(100, 2000, 200)))
+    expected = float(oracles.mod_exponentials(200, 709)[100])
     for route in ("series", "roots"):
         value = complex(payload[route]["re"], payload[route]["im"])
         assert abs(value - expected) <= 1e-13 * abs(expected)
@@ -804,14 +803,12 @@ def test_overlap_closed_form_is_circulant(n, capsys):
 @pytest.mark.parametrize("alpha", [0.3, 1.5j, 0.7 + 0.2j, 2 - 1j, 4 + 2j, 6])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
 def test_overlap_fock_matches_mpmath_oracle(n, alpha):
-    # <w2^k alpha|w2^l alpha> = exp(|alpha|^2 (w2^(l-k) - 1)) at 40 digits
+    # <w2^k alpha|w2^l alpha> = exp(|alpha|^2 (w2^(l-k) - 1)), cell (k, l) of the
+    # table being entry (l - k) mod n of its one row
     payload, _ = cli.cmd_overlap(n, alpha, 1e-14)
-    fock = payload["fock"].row  # cell (k, l) of the table is fock[(l - k) % n]
-    with mp.workdps(40):
-        lam = abs(mp.mpc(alpha)) ** 2
-        row = [mp.exp(lam * (mp.expjpi(mp.mpf(2 * d) / n) - 1)) for d in range(n)]
-        worst = max(abs(mp.mpc(complex(fock[(l - k) % n])) - row[(l - k) % n])
-                    for k in range(n) for l in range(n))
+    fock = payload["fock"].row
+    worst = max(abs(complex(value) - exact)
+                for value, exact in zip(fock, oracles.rotated_overlap_row(n, alpha)))
     assert worst <= 1e-14
 
 

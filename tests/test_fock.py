@@ -5,7 +5,6 @@ import math
 import time
 import warnings
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -22,29 +21,9 @@ from catscope import (
 )
 from catscope.modexp import _roots
 
-mp.mp.dps = 40
+import oracles
 
 ALPHAS = [0.3, 1.0, 1 + 1j, 2.0, 2.5j, -1.7 + 0.4j]
-
-
-def coherent_amp_oracle(alpha, m):
-    """Direct high-precision evaluation of exp(-|a|^2/2) a^m / sqrt(m!)."""
-    a = mp.mpc(alpha)
-    return complex(mp.exp(-abs(a) ** 2 / 2) * a ** m / mp.sqrt(mp.factorial(m)))
-
-
-def poisson_tail_oracle(alpha, d):
-    """Tail weight exp(-|a|^2) * sum_{m>=d} |a|^(2m)/m! at 40 digits.
-
-    For d >= 1 this is the regularized lower incomplete gamma function
-    gamma(d, |a|^2) / Gamma(d), which mpmath evaluates directly; summing the
-    series takes seconds per call at |a| = 26.  Returned unrounded: a tail
-    within an ulp of 1 rounds to a double on the wrong side of eps.
-    """
-    if d == 0:
-        return 1.0
-    lam = mp.mpf(abs(alpha)) ** 2
-    return mp.gammainc(d, 0, lam, regularized=True)
 
 
 def summed_inner(u, v):
@@ -70,17 +49,18 @@ def test_norm_alpha_one_dim32():
     deficit = abs(np.vdot(v, v).real - 1.0)
     assert deficit < 1e-12
     # the deficit is exactly the truncated tail, which is astronomically small
-    assert poisson_tail_oracle(1.0, 32) < 1e-30
+    assert oracles.poisson_tail(1.0, 32) < 1e-30
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_amplitudes_match_direct_evaluation(alpha):
+    exact = oracles.coherent_amplitudes(alpha, 40)
     for dim in (1, 40):
         v = coherent_state(alpha, dim)
         assert v.shape == (dim,)
         for m in (0, 1, 2, 7, 20, 39):
             if m < dim:
-                assert v[m] == pytest.approx(coherent_amp_oracle(alpha, m), abs=1e-15)
+                assert v[m] == pytest.approx(complex(exact[m]), abs=1e-15)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -303,7 +283,8 @@ def test_eigenstate_residual_within_tail_bound(alpha):
     dim = truncation_dim(alpha, 1e-14)
     v = coherent_state(alpha, dim)
     residual = np.linalg.norm(annihilate(v) - alpha * v)
-    assert residual <= 10 * abs(alpha) * math.sqrt(poisson_tail_oracle(alpha, dim - 1))
+    tail = oracles.poisson_tail(abs(alpha) ** 2, dim - 1)
+    assert residual <= 10 * abs(alpha) * math.sqrt(tail)
 
 
 def test_create_vacuum_gives_single_photon():
@@ -364,7 +345,7 @@ def test_truncation_dim_monotone_in_eps():
 
 
 def test_truncation_dim_alpha_two_frozen():
-    # brute-force mpmath tail oracle gives 26 for alpha=2, eps=1e-12
+    # the mpmath tail oracle gives 26 for alpha=2, eps=1e-12
     assert truncation_dim(2.0, 1e-12) == 26
 
 
@@ -375,10 +356,10 @@ def test_truncation_dim_alpha_two_frozen():
 @pytest.mark.parametrize("eps", [0.5, 0.999999, 1 - 2 ** -53, 1e-3, 1e-8, 1e-12, 1e-14,
                                  1e-16, 1e-300, 1e-320])
 def test_truncation_dim_matches_tail_oracle(alpha, eps):
-    d = truncation_dim(alpha, eps)
-    assert poisson_tail_oracle(alpha, d) < eps
+    d, lam = truncation_dim(alpha, eps), abs(alpha) ** 2
+    assert oracles.poisson_tail(lam, d) < eps
     if d > 1:
-        assert poisson_tail_oracle(alpha, d - 1) >= eps
+        assert oracles.poisson_tail(lam, d - 1) >= eps
 
 
 def test_truncation_dim_rejects_bad_eps():

@@ -27,6 +27,9 @@ from catscope import (
     rotated_coherent_states,
     truncation_dim,
 )
+from catscope.fock import _squared
+
+import oracles
 
 ALPHA_GRID = [0.3, 1.0, 1 + 1j, 2.0, 2.5j]
 U = np.finfo(float).eps
@@ -457,35 +460,54 @@ def test_basis_rejects_degenerate_alpha_and_bad_eps():
 
 
 def test_basis_amplitudes_match_high_precision_oracle():
-    # first-principles oracle at 40 digits: class-restricted coherent
-    # amplitudes, unit-normalized, leading amplitude made real positive
-    import mpmath as mp
-    mp.mp.dps = 40
+    # first-principles oracle: class-restricted coherent amplitudes,
+    # unit-normalized, leading amplitude made real positive
     n = 3
-    alpha = mp.mpc(1, 1)
     basis = kaleidoscope_basis(n, 1 + 1j, 1e-14)
     for k in range(n):
-        amps = [alpha ** m / mp.sqrt(mp.factorial(m)) if m % n == k else mp.mpc(0)
-                for m in range(basis.dim)]
-        norm = mp.sqrt(sum(abs(a) ** 2 for a in amps))
-        lead = amps[k] / norm
-        expected = [a / norm * abs(lead) / lead for a in amps]
+        expected = oracles.cat_state(n, 1 + 1j, k, basis.dim)
         worst = max(abs(complex(a) - basis.states[k][m])
                     for m, a in enumerate(expected))
         assert worst < 5e-15
 
 
 def test_constants_match_high_precision_oracle():
-    import mpmath as mp
-    mp.mp.dps = 40
     for n, alpha in [(2, 1.0), (4, 1.5), (5, 0.8)]:
-        lam = mp.mpf(abs(alpha)) ** 2
         constants = normalization_constants(n, alpha)
+        exact = oracles.normalization_constants(n, abs(alpha) ** 2)
         for k in range(n):
-            f_k = mp.nsum(lambda j: lam ** (n * int(j) + k) / mp.factorial(n * int(j) + k),
-                          [0, 60])
-            expected = float(mp.exp(lam / 2) / (n * mp.sqrt(f_k)))
-            assert constants[k] == pytest.approx(expected, rel=1e-14)
+            assert constants[k] == pytest.approx(float(exact[k]), rel=1e-14)
+
+
+# lambda = |alpha|^2 log-spaced over the kernel's range; the n of each case is
+# paired with the number of its points where some cat state does not exist
+GRID_LAMBDAS = [float(lam) for lam in np.geomspace(1e-3, 700, 9)]
+TINY = np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("n,degenerate", [(1, 0), (2, 0), (3, 0), (8, 0), (64, 0),
+                                          (257, 6), (1024, 8)])
+def test_family_and_constants_match_mpmath_on_the_grid(n, degenerate):
+    skipped = 0
+    for lam in GRID_LAMBDAS:
+        for value, exact in zip(modexp_all(n, lam), oracles.mod_exponentials(n, lam)):
+            # a residue below the normal doubles is compared absolutely
+            assert abs(value - exact) <= 1e-14 * max(exact, TINY)
+        alpha = math.sqrt(lam)
+        lam = _squared(alpha)  # the double lambda the library forms from alpha
+        weights = oracles.class_weights(n, lam)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                constants = normalization_constants(n, alpha)
+        except DegenerateAlpha:
+            assert min(weights) < TINY
+            skipped += 1
+            continue
+        assert min(weights) >= TINY
+        for value, exact in zip(constants, oracles.normalization_constants(n, lam)):
+            assert abs(value - exact) <= 1e-14 * exact
+    assert skipped == degenerate
 
 
 def test_parallel_construction_matches_serial():

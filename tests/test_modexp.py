@@ -5,7 +5,6 @@ import math
 import re
 import time
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,20 +20,13 @@ from catscope import (
 )
 from catscope.modexp import _ABS_FLOOR, _REL_TOL, _check_finite, _range_error
 
-mp.mp.dps = 40
+import oracles
 
 # The scalar reference's own bound on its loop, one term of f_s per step
 REFERENCE_MAX_TERMS = 10_000
 
 X_REAL = [-9.0, -4.0, -1.5, -0.2, 0.0, 0.3, 1.0, 4.0, 9.0]
 X_COMPLEX = [1 + 1j, -3 + 2j, 4j, -0.5 - 5j]
-
-
-def brute_force_oracle(n, s, x, terms=80):
-    """Independent partial-sum oracle at 40 decimal digits."""
-    return complex(mp.nsum(
-        lambda k: mp.mpc(x) ** (n * int(k) + s) / mp.factorial(n * int(k) + s),
-        [0, terms]))
 
 
 def series_reference(spec, x):
@@ -93,19 +85,20 @@ def test_mod2_is_cosh_and_sinh(x):
 
 
 def test_mod3_residue_zero_at_one_frozen():
-    # brute-force oracle value of sum 1/(3k)!: 1.16805831337591852...
+    # the oracle's value of sum 1/(3k)!: 1.16805831337591852...
     expected = 1.1680583133759185
-    assert brute_force_oracle(3, 0, 1.0).real == pytest.approx(expected, abs=1e-15)
+    assert float(oracles.mod_exponentials(3, 1.0)[0]) == pytest.approx(expected, abs=1e-15)
     assert modexp_series(ModExpSpec(3, 0), 1.0) == pytest.approx(expected, abs=1e-14)
     assert modexp_roots(ModExpSpec(3, 0), 1.0).real == pytest.approx(expected, abs=1e-14)
 
 
 def test_mod4_components_at_one_frozen():
-    # frozen from the same brute-force oracle
+    # frozen from the same oracle
     expected = [1.0416914703416917, 1.0083360892258490,
                 0.5013891644735520, 0.1668651044179525]
+    exact = oracles.mod_exponentials(4, 1.0)
     for s, value in enumerate(expected):
-        assert brute_force_oracle(4, s, 1.0).real == pytest.approx(value, abs=1e-15)
+        assert float(exact[s]) == pytest.approx(value, abs=1e-15)
         assert modexp_series(ModExpSpec(4, s), 1.0) == pytest.approx(value, abs=1e-14)
 
 
@@ -121,10 +114,9 @@ def test_n1_is_plain_exponential():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12])
 @pytest.mark.parametrize("x", X_REAL + X_COMPLEX)
 def test_series_matches_brute_force(n, x):
-    for s in range(n):
-        expected = brute_force_oracle(n, s, x)
+    for s, expected in enumerate(oracles.mod_exponentials(n, x)):
         assert modexp_series(ModExpSpec(n, s), x) == pytest.approx(
-            expected, abs=1e-13 * max(1.0, math.exp(abs(x))))
+            complex(expected), abs=1e-13 * max(1.0, math.exp(abs(x))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12])
@@ -183,33 +175,18 @@ def test_roots_route_sums_its_terms_bit_for_bit_over_a_power_of_two(n, s, x):
     assert math.copysign(1.0, value.real) == math.copysign(1.0, reference.real)
 
 
-def exact_mod_exponentials(n, x):
-    """Every f_s(x), s < n, for real x >= 0: x^m/m! summed at 40 digits."""
-    x = mp.mpf(x)
-    values = [mp.mpf(0)] * n
-    term, m = mp.mpf(1), 0
-    # terms decrease past m = x, so each later one is even more negligible
-    while m < n or m <= x or term > mp.mpf(10) ** -40 * min(values):
-        values[m % n] += term
-        m += 1
-        term = term * x / m
-    return values
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 9, 64])
 @pytest.mark.parametrize("x", [0, 0.5, -3, 2 + 1j, -4.5j, 25 + 25j, 300, 707.5, 709.0])
 def test_one_pass_kernel_matches_series(n, x):
     # for real x the kernel is pinned to the scalar reference bit for bit, so the
-    # reference there is at 40 digits; for complex x it is the scalar reference
+    # reference there is the oracle; for complex x it is the scalar reference
     values = modexp_all(n, x)
     assert values.shape == (n,)
     assert values.dtype == (complex if isinstance(x, complex) else float)
     if isinstance(x, complex):
         expected = [series_reference(ModExpSpec(n, s), x) for s in range(n)]
-    elif x >= 0:
-        expected = exact_mod_exponentials(n, x)
     else:
-        expected = [brute_force_oracle(n, s, x) for s in range(n)]
+        expected = oracles.mod_exponentials(n, x)
     for s in range(n):
         assert abs(values[s] - expected[s]) < 1e-14 * math.exp(abs(x))
 
@@ -239,14 +216,12 @@ def test_one_pass_kernel_is_the_series_bit_for_bit_for_real_argument(n, x):
 @pytest.mark.parametrize("x", [1.0, 50.0, 1 + 0j, 3 - 2j, 50, -3])
 def test_series_residue_past_factorial_overflow_matches_kernel(s, x):
     # 171! and 50^199 are past double range; f_s itself is not.  For real x the
-    # kernel takes the scalar reference's steps, so the reference is at 40 digits.
+    # kernel takes the scalar reference's steps, so the reference is the oracle.
     series = modexp_series(ModExpSpec(200, s), x)
     if isinstance(x, complex):
         expected = series_reference(ModExpSpec(200, s), x)
-    elif x > 0:
-        expected = complex(exact_mod_exponentials(200, x)[s])
     else:
-        expected = brute_force_oracle(200, s, x)
+        expected = complex(oracles.mod_exponentials(200, x)[s])
     assert abs(series - expected) <= 1e-13 * abs(expected)
 
 
@@ -293,7 +268,7 @@ def test_kernel_raises_where_the_scalar_reference_does(n, s, x):
 @pytest.mark.parametrize("x", [0.01, 0.3, 1.0, 7.5, 16.0, 49.0, 120.0, 700.0])
 def test_one_pass_kernel_matches_mpmath(n, x):
     values = modexp_all(n, x)
-    for s, exact in enumerate(exact_mod_exponentials(n, x)):
+    for s, exact in enumerate(oracles.mod_exponentials(n, x)):
         assert abs(values[s] - exact) <= 1e-14 * exact
 
 
