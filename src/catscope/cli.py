@@ -381,9 +381,9 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if not args.out and sys.stdout is None:  # started with stdout closed (`>&-`)
+        if args.out is None and sys.stdout is None:  # started with stdout closed (`>&-`)
             raise OSError("stdout is closed")
-        with (open(args.out, "w", encoding="utf-8") if args.out
+        with (open(args.out, "w", encoding="utf-8") if args.out is not None
               else contextlib.nullcontext(sys.stdout)) as handle:
             if args.format == "json":
                 dumps_record(dict(command=args.command, params=values, payload=payload,

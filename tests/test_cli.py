@@ -1,6 +1,7 @@
 """CLI contract: formats, determinism, schema validity, exit codes."""
 
 import cmath
+import contextlib
 import io
 import json
 import math
@@ -32,8 +33,14 @@ BLOCK_BUFFERED = {key: value for key, value in os.environ.items()
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
-    cmd = [sys.executable, "-m", "catscope", *args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    """``cli.main(args)`` in this process, its exit code and captured stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's usage errors, --help and --version
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def run_cli_bytes(*args: str, env=None) -> subprocess.CompletedProcess:
@@ -293,6 +300,74 @@ def test_csv_is_written_in_row_blocks(n, monkeypatch):
     assert "".join(log.writes) == oracle_overlap_csv(payload)
 
 
+# The tables of each command's JSON payload
+JSON_TABLES = {"basis": ("states",), "overlap": ("closed_form", "fock")}
+
+
+@pytest.mark.parametrize("command", list(JSON_TABLES))
+def test_json_is_written_a_table_row_at_a_time(command, monkeypatch):
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert cli.main([command, "--n", "8", "--alpha", "1.5+0.5i"]) == 0
+    monkeypatch.undo()
+    record = json.loads(log.getvalue(), parse_int=float)  # "-0" keeps its sign
+    rows = [row for key in JSON_TABLES[command] for row in record["payload"][key]]
+    assert len(log.writes) > len(rows)
+    longest_row = max(len(_dumps(row)) for row in rows)
+    assert max(map(len, log.writes)) <= longest_row + 1  # a row and the comma before it
+    assert "".join(log.writes) == _dumps(record) + "\n"
+
+
+def test_main_writes_json_through_dumps_record(monkeypatch, capsys):
+    calls, written = [], []
+    dumps_record = cli.dumps_record
+
+    def recorder(record, write):
+        calls.append(record)
+        dumps_record(record, lambda text: written.append(text) or write(text))
+
+    monkeypatch.setattr(cli, "dumps_record", recorder)
+    assert cli.main(["gates", "--n", "3"]) == 0
+    assert calls == [{"command": "gates", "params": {"n": 3},
+                      "payload": cli.cmd_gates(3)[0], "tool_version": cli.__version__}]
+    assert capsys.readouterr().out == "".join(written)
+    assert cli.main(["gates", "--n", "3", "--format", "csv"]) == 0
+    assert len(calls) == 1  # CSV goes out through the command's csv_rows
+
+
+# Every golden and CSV fixture, with the arguments that write it
+FIXTURE_COMMANDS = (
+    [(FIXTURES / "golden" / name, args) for name, args in GOLDENS["GOLDEN_COMMANDS"].items()]
+    + [(FIXTURES / "csv" / name, [*args, "--format", "csv"])
+       for name, args in CSV_FIXTURES.items()])
+
+
+def test_fixtures_pin_every_command_and_every_fixture_file_is_compared():
+    # each command's CSV header and bytes are pinned, and no fixture goes uncompared
+    assert {args[0] for args in CSV_FIXTURES.values()} == set(cli.COMMANDS)
+    assert sorted(path for path, _ in FIXTURE_COMMANDS) == sorted(
+        path for folder in ("golden", "csv") for path in (FIXTURES / folder).iterdir())
+
+
+def test_early_reader_leaves_no_descriptor_open(monkeypatch):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone: the first write raises BrokenPipeError
+    with open(write_end, "w", buffering=1) as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        before = sorted(os.listdir("/dev/fd"))
+        assert cli.main(["gates", "--n", "3", "--format", "csv"]) == 0
+        assert sorted(os.listdir("/dev/fd")) == before
+        monkeypatch.undo()
+
+
+# ----------------------------------------------------------------- processes
+# A test starts a catscope process only where the process is its subject:
+# run() and the entry point, block-buffered stdout and its exit, a reader
+# that leaves the pipe, a closed stdout, an --out file past the buffer, peak
+# RSS and the one-line warning format.  Every other test calls cli.main in
+# the test process.
+
+
 def _read_head_and_leave(*args: str) -> bytes:
     """The first line of the command's output, read before the pipe is closed.
 
@@ -321,17 +396,6 @@ def test_reader_that_stops_early_ends_the_json_quietly():
     assert head.startswith(b'{"command":"overlap","params":{"n":256,')
 
 
-def test_early_reader_leaves_no_descriptor_open(monkeypatch):
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader has gone: the first write raises BrokenPipeError
-    with open(write_end, "w", buffering=1) as stream:
-        monkeypatch.setattr(sys, "stdout", stream)
-        before = sorted(os.listdir("/dev/fd"))
-        assert cli.main(["gates", "--n", "3", "--format", "csv"]) == 0
-        assert sorted(os.listdir("/dev/fd")) == before
-        monkeypatch.undo()
-
-
 @pytest.mark.parametrize("args", [
     ("gates", "--n", "3"),
     ("lemma", "--n", "4", "--m", "2", "--s", "0", "--format", "csv"),
@@ -356,20 +420,6 @@ def test_closed_stdout_exits_2_with_one_error_line():
         assert (proc.returncode, proc.stderr) == (2, stderr)
 
 
-# Every golden and CSV fixture, with the arguments that write it
-FIXTURE_COMMANDS = (
-    [(FIXTURES / "golden" / name, args) for name, args in GOLDENS["GOLDEN_COMMANDS"].items()]
-    + [(FIXTURES / "csv" / name, [*args, "--format", "csv"])
-       for name, args in CSV_FIXTURES.items()])
-
-
-@pytest.mark.parametrize("path,args", FIXTURE_COMMANDS, ids=lambda v: getattr(v, "name", ""))
-def test_block_buffered_stdout_keeps_every_byte(path, args):
-    proc = run_cli_bytes(*args, env=BLOCK_BUFFERED)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == path.read_bytes()
-
-
 def _entry_point() -> list[str]:
     """The installed ``catscope`` script beside this interpreter, else what it runs."""
     script = Path(sys.executable).with_name("catscope")
@@ -380,7 +430,7 @@ def _entry_point() -> list[str]:
 
 @pytest.mark.parametrize("path,args", FIXTURE_COMMANDS, ids=lambda v: getattr(v, "name", ""))
 def test_entry_point_writes_every_fixture(path, args):
-    proc = subprocess.run([*_entry_point(), *args], capture_output=True)
+    proc = subprocess.run([*_entry_point(), *args], capture_output=True, env=BLOCK_BUFFERED)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == path.read_bytes()
 
@@ -473,39 +523,14 @@ def test_modexp_past_double_range_at_the_n_cap_within_memory_bound():
     assert _peak_rss_mb("modexp", "--n", "1048576", "--s", "0", "--x", "1e7", code=2) < 150
 
 
-# The tables of each command's JSON payload
-JSON_TABLES = {"basis": ("states",), "overlap": ("closed_form", "fock")}
-
-
-@pytest.mark.parametrize("command", list(JSON_TABLES))
-def test_json_is_written_a_table_row_at_a_time(command, monkeypatch):
-    log = _WriteLog()
-    monkeypatch.setattr(sys, "stdout", log)
-    assert cli.main([command, "--n", "8", "--alpha", "1.5+0.5i"]) == 0
-    monkeypatch.undo()
-    record = json.loads(log.getvalue(), parse_int=float)  # "-0" keeps its sign
-    rows = [row for key in JSON_TABLES[command] for row in record["payload"][key]]
-    assert len(log.writes) > len(rows)
-    longest_row = max(len(_dumps(row)) for row in rows)
-    assert max(map(len, log.writes)) <= longest_row + 1  # a row and the comma before it
-    assert "".join(log.writes) == _dumps(record) + "\n"
-
-
-def test_main_writes_json_through_dumps_record(monkeypatch, capsys):
-    calls, written = [], []
-    dumps_record = cli.dumps_record
-
-    def recorder(record, write):
-        calls.append(record)
-        dumps_record(record, lambda text: written.append(text) or write(text))
-
-    monkeypatch.setattr(cli, "dumps_record", recorder)
-    assert cli.main(["gates", "--n", "3"]) == 0
-    assert calls == [{"command": "gates", "params": {"n": 3},
-                      "payload": cli.cmd_gates(3)[0], "tool_version": cli.__version__}]
-    assert capsys.readouterr().out == "".join(written)
-    assert cli.main(["gates", "--n", "3", "--format", "csv"]) == 0
-    assert len(calls) == 1  # CSV goes out through the command's csv_rows
+def test_library_warning_is_one_stderr_line():
+    proc = run_cli_bytes("basis", "--n", "16", "--alpha", "0.2")
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        b"warning: ConditioningWarning: f_7(|alpha|^2) = 3.251e-14 is below "
+        b"1e-12 * exp(|alpha|^2); normalization constant 7 is ill-conditioned\n")
+    assert b"kaleidoscope.py" not in proc.stderr
+    assert len(json.loads(proc.stdout)["payload"]["states"]) == 16
 
 
 # ------------------------------------------------------------------ commands
@@ -520,13 +545,6 @@ def test_basis_json_payload():
     assert record["command"] == "basis"
     assert len(record["payload"]["states"]) == 3
     assert record["payload"]["gram_max_deviation"] < 1e-12
-
-
-def test_basis_degenerate_alpha_exits_2():
-    proc = run_cli("basis", "--n", "2", "--alpha", "0+0i")
-    assert proc.returncode == 2
-    assert "DegenerateAlpha" in proc.stderr
-    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("n,alpha", [("140", "0.5"), ("141", "0.5"), ("349", "4+0i"),
@@ -824,59 +842,7 @@ def test_overlap_max_difference_is_the_largest_csv_cell(n, alpha):
     assert payload["max_abs_difference"].hex() == largest.hex()
 
 
-# ---------------------------------------------------------------- CSV format
-
-
-def test_csv_headers_fixed_per_command():
-    cases = {
-        ("basis", "--n", "2", "--alpha", "1+0i"): "state,level,re,im",
-        ("modexp", "--n", "2", "--s", "0", "--x", "1"):
-            "n,s,x_re,x_im,series_re,series_im,roots_re,roots_im,abs_difference",
-        ("lemma", "--n", "3", "--m", "0", "--s", "0"):
-            "n,m,s,sum_re,sum_im,expected,matches_delta",
-        ("gates", "--n", "3"):
-            "n,unitarity_dft,unitarity_clock,unitarity_shift,"
-            "decomposition_residual,weyl_phase_re,weyl_phase_im,"
-            "weyl_residual,weyl_root_residual",
-        ("overlap", "--n", "2", "--alpha", "1+0i"):
-            "k,l,closed_re,closed_im,fock_re,fock_im,abs_difference",
-    }
-    for args, header in cases.items():
-        proc = run_cli(*args, "--format", "csv")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[0] == header
-
-
-@pytest.mark.parametrize("name,args", list(CSV_FIXTURES.items()))
-def test_csv_matches_fixture_byte_for_byte(name, args):
-    proc = run_cli_bytes(*args, "--format", "csv")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (FIXTURES / "csv" / name).read_bytes()
-
-
-def test_csv_basis_row_count():
-    proc = run_cli("basis", "--n", "2", "--alpha", "1+0i", "--format", "csv")
-    record = run_cli("basis", "--n", "2", "--alpha", "1+0i")
-    dim = json.loads(record.stdout)["payload"]["dim"]
-    lines = proc.stdout.strip().splitlines()
-    assert len(lines) == 1 + 2 * dim
-
-
-# ------------------------------------------------------------- determinism
-
-
-@pytest.mark.parametrize("args", [
-    ("basis", "--n", "3", "--alpha", "1+1i"),
-    ("modexp", "--n", "5", "--s", "2", "--x", "2.5"),
-    ("lemma", "--n", "6", "--m", "2", "--s", "2"),
-    ("gates", "--n", "5"),
-    ("overlap", "--n", "3", "--alpha", "0.7+0.2i"),
-])
-def test_repeated_runs_byte_identical(args):
-    first = run_cli_bytes(*args)
-    second = run_cli_bytes(*args)
-    assert first.returncode == second.returncode == 0
-    assert first.stdout == second.stdout
+# ----------------------------------------------------------- --out and --eps
 
 
 def test_out_file_gets_payload_and_stdout_stays_empty(tmp_path):
@@ -896,6 +862,15 @@ def test_unwritable_out_file_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert not out.exists()
+
+
+def test_empty_out_name_exits_2():
+    # an empty name, as from `--out "$UNSET"`, is a file name that cannot be opened
+    for out in (("--out", ""), ("--out=",)):
+        proc = run_cli("lemma", "--n", "3", "--m", "1", "--s", "0", *out)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: [Errno 2] ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 def test_eps_flag_controls_truncation():
@@ -972,16 +947,6 @@ def test_linear_commands_take_n_above_dense_bound(args, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_library_warning_is_one_stderr_line():
-    proc = run_cli("basis", "--n", "16", "--alpha", "0.2")
-    assert proc.returncode == 0
-    assert proc.stderr == (
-        "warning: ConditioningWarning: f_7(|alpha|^2) = 3.251e-14 is below "
-        "1e-12 * exp(|alpha|^2); normalization constant 7 is ill-conditioned\n")
-    assert "kaleidoscope.py" not in proc.stderr
-    assert len(json.loads(proc.stdout)["payload"]["states"]) == 16
-
-
 def test_main_leaves_the_warning_format_to_its_caller(monkeypatch, capsys):
     # run() sets the one-line format once per process; main() never touches it
     shown = []
@@ -995,12 +960,6 @@ def test_main_leaves_the_warning_format_to_its_caller(monkeypatch, capsys):
     assert shown == ["caller: f_7(|alpha|^2) = 3.251e-14 is below 1e-12 * exp(|alpha|^2); "
                      "normalization constant 7 is ill-conditioned"]
     assert capsys.readouterr().err == ""
-
-
-def test_version_flag():
-    proc = run_cli("--version")
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "0.1.0"
 
 
 # ------------------------------------------------------------------- parsing
