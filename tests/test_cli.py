@@ -349,6 +349,18 @@ def test_fixtures_pin_every_command_and_every_fixture_file_is_compared():
         path for folder in ("golden", "csv") for path in (FIXTURES / folder).iterdir())
 
 
+@pytest.mark.parametrize("path,args", FIXTURE_COMMANDS, ids=lambda v: getattr(v, "name", ""))
+def test_block_buffered_stdout_keeps_every_byte(path, args, monkeypatch):
+    # run() ends the process with os._exit as soon as main returns, so every byte
+    # must have left stdout's buffers by then; the buffer here holds all of them
+    sink = io.BytesIO()
+    stdout = io.TextIOWrapper(io.BufferedWriter(sink, buffer_size=1 << 20),
+                              encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(list(args)) == 0
+    assert sink.getvalue() == path.read_bytes()
+
+
 def test_early_reader_leaves_no_descriptor_open(monkeypatch):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader has gone: the first write raises BrokenPipeError
