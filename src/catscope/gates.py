@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kaleidoscope import dft_matrix, gram
+from .kaleidoscope import _rows, dft_matrix, gram
 from .modexp import _check_n, _roots
 
 __all__ = ["clock_matrix", "shift_matrix", "unitarity_residual",
@@ -54,12 +54,13 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     """Max entrywise deviation of M M^dag from the identity: ``gram(M).max_deviation``.
 
     The rows are read as :func:`~catscope.kaleidoscope.gram` reads states, so
-    a 1-D input is one row.  A 0/1 permutation matrix gives exactly 0.0 in
+    a 1-D input is one row, and an input of any other shape but 2-D raises
+    ValueError before any test.  A 0/1 permutation matrix gives exactly 0.0 in
     floating point too, and is answered so without the product.  Its entries
     sum to its row count exactly, and that one pass is tested first, so a
     dense matrix goes to the product before any entrywise test.
     """
-    matrix = np.atleast_2d(matrix)
+    matrix = _rows(matrix)
     if matrix.sum() == len(matrix):
         ones = matrix == 1
         if ((ones | (matrix == 0)).all() and (ones.sum(axis=0) == 1).all()

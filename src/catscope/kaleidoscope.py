@@ -203,9 +203,10 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     classes = levels % n
     amps = coherent_state(alpha, dim)
     # the class weights are summed as zero-padded dim-long rows, not per class:
+    # tests/references.py's basis_reference pins the bits of that grouping, in
     # test_basis_keeps_the_dense_row_scaling_bits_in_class and
-    # test_scattered_basis_matches_masked_assembly_bit_for_bit pin the bits of
-    # that grouping; per-class sums keep the goldens' and CSV fixtures' bytes
+    # test_scattered_basis_matches_masked_assembly_bit_for_bit; per-class sums
+    # keep the goldens' and CSV fixtures' bytes
     weights = np.zeros((n, dim))
     weights[classes, levels] = (amps.conj() * amps).real
     amps /= np.sqrt(np.add.reduce(weights, 1))[classes]
@@ -218,15 +219,21 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
                              norm_constants=constants, tail_eps=eps)
 
 
+def _rows(states) -> np.ndarray:
+    """``states`` as a 2-D complex array, one state per row; a 1-D input is one row."""
+    matrix = np.asarray(states, dtype=complex)
+    if matrix.ndim not in (1, 2):
+        raise ValueError(f"need a 1-D or 2-D array of states, got shape {matrix.shape}")
+    return matrix[None, :] if matrix.ndim == 1 else matrix
+
+
 def gram(states) -> GramReport:
     """Gram matrix of a state set and its max entrywise deviation from identity.
 
     Accepts any nonempty sequence of equal-length Fock vectors (or an (n, dim)
     array).  The matrix is Hermitian by construction.
     """
-    matrix = np.asarray(states, dtype=complex)
-    if matrix.ndim == 1:
-        matrix = matrix[None, :]
+    matrix = _rows(states)
     if matrix.size == 0:
         raise ValueError("need at least one state")
     g = matrix.conj() @ matrix.T

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import os
-import re
 import runpy
 import subprocess
 import sys
@@ -22,6 +21,7 @@ from catscope import (ConditioningWarning, DegenerateAlpha, cli, coherent_state,
                       kaleidoscope_basis, weyl_commutation)
 
 import oracles
+import references
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = json.loads((FIXTURES / "output_record.schema.json").read_text())
@@ -73,28 +73,6 @@ def test_parse_complex_rejects(text):
         cli.parse_complex(text)
 
 
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_REAL_RE = re.compile(rf"^[+-]?{_NUM}$")
-_IMAG_RE = re.compile(rf"^([+-]?)({_NUM})?i$")
-_FULL_RE = re.compile(rf"^([+-]?{_NUM})([+-])({_NUM})?i$")
-
-
-def parse_complex_reference(text: str) -> complex:
-    """Parse 'a+bi' / 'a-bi' / bare real / bare imaginary ('2.5i', '-i')."""
-    text = text.strip()
-    match = _FULL_RE.match(text)
-    if match:
-        real, sign, imag = match.groups()
-        return complex(float(real), float(sign + (imag or "1")))
-    match = _IMAG_RE.match(text)
-    if match:
-        sign, imag = match.groups()
-        return complex(0.0, float(sign + (imag or "1")))
-    if _REAL_RE.match(text):
-        return complex(float(text), 0.0)
-    raise ValueError(f"cannot parse complex number from {text!r}")
-
-
 def _parsed(parse, text: str):
     """The bits of ``parse(text)``, signed zeros included, or its ValueError message."""
     try:
@@ -115,7 +93,7 @@ def _parsed(parse, text: str):
 def test_parse_complex_is_the_three_regex_parser(text):
     # Python's complex literal with i for j, behind a guard on its characters,
     # takes and rejects the same strings as the regex grammar, to the bit
-    assert _parsed(cli.parse_complex, text) == _parsed(parse_complex_reference, text)
+    assert _parsed(cli.parse_complex, text) == _parsed(references.parse_complex_reference, text)
 
 
 # -------------------------------------------------------------- serialization
@@ -150,32 +128,13 @@ SPECIAL_BITS = [0x0, 0x8000000000000000, 0x1, 0x800FFFFFFFFFFFFF,
                 0x7FF0000000000001, 0x3FF0000000000000]
 
 
-def _distinct_text(render, *columns) -> list:
-    """``render(cell)`` of each cell, the tuple of the ``columns``' floats at one place.
-
-    Flattened in C order; ``render`` runs once per distinct cell (a basis state
-    is mostly zeros).  Cells are told apart by their bits, not their values, so
-    -0.0 and 0.0, and nans with different payloads, keep their own text.  The
-    byte reference the basis table's scattered rows are tested against.
-    """
-    bits = [np.asarray(c, float).ravel().view(np.uint64) for c in columns]
-    order = np.lexsort(bits)  # equal cells end up next to each other
-    bits = [column[order] for column in bits]
-    first = np.ones(order.size, dtype=bool)  # the first cell of each run
-    first[1:] = np.any([column[1:] != column[:-1] for column in bits], axis=0)
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(first) - 1
-    cells = zip(*[column[first].view(float).tolist() for column in bits])
-    return np.array([render(cell) for cell in cells], dtype=object)[inverse].tolist()
-
-
 @given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS)),
                 max_size=64))
 def test_g17_formats_each_bit_pattern_like_format(bits):
     bits = bits + bits[::2]  # repeated patterns share one formatted string
     values = np.array(bits, dtype=np.uint64).view(np.float64)
     text = [format(v, ".17g") for v in values.tolist()]
-    assert _distinct_text("%.17g".__mod__, values) == text
+    assert references.distinct_text_reference("%.17g".__mod__, values) == text
     assert _dumps(values.tolist()) == "[" + ",".join(text) + "]"
     assert _dumps([[v] for v in values.tolist()]) == "[" + ",".join(
         f"[{cell}]" for cell in text) + "]"
@@ -191,7 +150,8 @@ def test_complex_cells_render_each_bit_pair_like_format(pairs):
     parts = bits.view(np.float64).tolist()
     expected = ['{"re":%s,"im":%s}' % (format(re, ".17g"), format(im, ".17g"))
                 for re, im in parts]
-    assert _distinct_text(cli._JSON_COMPLEX.__mod__, values.real, values.imag) == expected
+    assert references.distinct_text_reference(
+        cli._JSON_COMPLEX.__mod__, values.real, values.imag) == expected
     assert _dumps(values.tolist()) == "[" + ",".join(expected) + "]"
     assert _dumps([[v] for v in values.tolist()]) == "[" + ",".join(
         f"[{cell}]" for cell in expected) + "]"
@@ -213,44 +173,9 @@ def test_scattered_rows_match_the_distinct_cell_reference(n, alpha, eps):
             assume(False)
     dim = states.shape[1]
     for render in (cli._JSON_COMPLEX.__mod__, "%.17g,%.17g\n".__mod__):  # JSON, CSV
-        cells = _distinct_text(render, states.real, states.imag)
+        cells = references.distinct_text_reference(render, states.real, states.imag)
         assert list(cli._text_rows(render, cli._Scattered(states))) == [
             cells[k * dim:(k + 1) * dim] for k in range(n)]
-
-
-def _oracle_c(value) -> dict:
-    value = complex(value)
-    return {"re": value.real, "im": value.imag}
-
-
-def _oracle_csv(header: str, rows) -> str:
-    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
-
-
-def oracle_basis_csv(payload) -> str:
-    """CSV of a basis payload, one dict and one format() call per float."""
-    states = [[_oracle_c(amp) for amp in state] for state in payload["states"].states]
-    return _oracle_csv("state,level,re,im", (
-        (k, level, format(amp["re"], ".17g"), format(amp["im"], ".17g"))
-        for k, state in enumerate(states) for level, amp in enumerate(state)))
-
-
-def oracle_overlap_csv(payload) -> str:
-    """CSV of an overlap payload, one dict and one format() call per float.
-
-    Each table is held as its row 0; cell (k, l) is that row at (l - k) mod n.
-    """
-    closed = [_oracle_c(v) for v in payload["closed_form"].row]
-    fock = [_oracle_c(v) for v in payload["fock"].row]
-    n = len(closed)
-    rows = []
-    for k in range(n):
-        for l in range(n):
-            c, f = closed[(l - k) % n], fock[(l - k) % n]
-            diff = math.hypot(c["re"] - f["re"], c["im"] - f["im"])
-            rows.append((k, l, *(format(v, ".17g") for v in (
-                c["re"], c["im"], f["re"], f["im"], diff))))
-    return _oracle_csv("k,l,closed_re,closed_im,fock_re,fock_im,abs_difference", rows)
 
 
 @pytest.mark.parametrize("alpha", ["1+0i", "0.7+0.2i", "-1.5i", "2-1i"])
@@ -259,14 +184,14 @@ def test_bulk_csv_matches_per_element_oracle(n, alpha, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         overlap, _ = cli.cmd_overlap(n, cli.parse_complex(alpha), 1e-14)
-        cases = [("overlap", oracle_overlap_csv(overlap))]
+        cases = [("overlap", references.overlap_csv_reference(overlap))]
         try:
             basis, _ = cli.cmd_basis(n, cli.parse_complex(alpha), 1e-14)
         except DegenerateAlpha:  # every alpha here is past the existence rule at 257
             assert n == 257
             basis = None
         else:
-            cases.insert(0, ("basis", oracle_basis_csv(basis)))
+            cases.insert(0, ("basis", references.basis_csv_reference(basis)))
         for command, oracle in cases:
             assert cli.main([command, "--n", str(n), f"--alpha={alpha}",
                              "--format", "csv"]) == 0
@@ -297,7 +222,7 @@ def test_csv_is_written_in_row_blocks(n, monkeypatch):
     assert cli.main(["overlap", "--n", str(n), "--alpha", "0.7+0.2i",
                      "--format", "csv"]) == 0
     assert len(log.writes) == 1 + n  # the header, then one block per table row
-    assert "".join(log.writes) == oracle_overlap_csv(payload)
+    assert "".join(log.writes) == references.overlap_csv_reference(payload)
 
 
 # The tables of each command's JSON payload

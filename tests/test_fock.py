@@ -22,13 +22,9 @@ from catscope import (
 from catscope.modexp import _roots
 
 import oracles
+import references
 
 ALPHAS = [0.3, 1.0, 1 + 1j, 2.0, 2.5j, -1.7 + 0.4j]
-
-
-def summed_inner(u, v):
-    # independent of np.vdot: explicit conjugated summation
-    return sum(complex(u[m]).conjugate() * complex(v[m]) for m in range(len(u)))
 
 
 # ---------------------------------------------------------------- coherent
@@ -313,8 +309,8 @@ def test_adjointness_by_direct_summation():
     u = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     u[-1] = v[-1] = 0.0  # supported below dim-1: no truncation loss
-    lhs = summed_inner(create(u), v)
-    rhs = summed_inner(u, annihilate(v))
+    lhs = references.inner_product_reference(create(u), v)
+    rhs = references.inner_product_reference(u, annihilate(v))
     assert lhs == pytest.approx(rhs, rel=1e-13)
     assert inner_product(create(u), v) == pytest.approx(lhs, rel=1e-13)
 

@@ -1,6 +1,7 @@
 """Clock/shift algebra and the Fourier-conjugation identity."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -16,22 +17,7 @@ from catscope import (
     weyl_commutation,
 )
 
-
-def conjugated_clock_oracle(n):
-    """Brute-force Q S3 Q^dag by explicit triple loops, no matrix library."""
-    w = cmath.exp(-2j * cmath.pi / n)
-    omega = cmath.exp(2j * cmath.pi / n)
-    q = [[w ** (j * k) / cmath.sqrt(n) for j in range(n)] for k in range(n)]
-    s3 = [[omega ** j if j == k else 0.0 for j in range(n)] for k in range(n)]
-    out = [[0j] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = 0j
-            for p in range(n):
-                for r in range(n):
-                    acc += q[a][p] * s3[p][r] * q[b][r].conjugate()
-            out[a][b] = acc
-    return np.array(out)
+import references
 
 
 def test_clock_n1_and_n2():
@@ -75,8 +61,8 @@ def test_decomposition_n2_hadamard_conjugates_z_to_x():
 
 @pytest.mark.parametrize("n", [3, 8])
 def test_decomposition_matches_brute_force_oracle(n):
-    oracle = conjugated_clock_oracle(n)
-    np.testing.assert_allclose(oracle, shift_matrix(n), atol=1e-12)
+    np.testing.assert_allclose(references.conjugated_clock_reference(n), shift_matrix(n),
+                               atol=1e-12)
     assert verify_clock_shift_decomposition(n) < 1e-12
 
 
@@ -93,43 +79,25 @@ def test_weyl_commutation_phase(n):
     assert abs(phase ** n - 1) < 1e-12
 
 
-def dense_weyl_commutation(n):
-    """The Weyl phase and residual from the dense products S1 S3 and S3 S1."""
-    s1 = shift_matrix(n)
-    s3 = clock_matrix(n)
-    left = s1 @ s3
-    right = s3 @ s1
-    flat = np.argmax(np.abs(right))
-    phase = complex((left.ravel()[flat]) / (right.ravel()[flat]))
-    phase /= abs(phase)
-    return phase, float(np.max(np.abs(left - phase * right)))
-
-
 def bits(*values):
     return np.array(values, dtype=float).view(np.uint64).tolist()
-
-
-def unitarity_reference(matrix):
-    """The dense M M^dag - I formula that unitarity_residual replaced by gram."""
-    n = matrix.shape[0]
-    return float(np.max(np.abs(matrix @ matrix.conj().T - np.eye(n))))
 
 
 def test_structured_gates_match_dense_products_bit_for_bit():
     for n in range(1, 257):
         (phase, residual), (dense_phase, dense_residual) = (
-            weyl_commutation(n), dense_weyl_commutation(n))
+            weyl_commutation(n), references.weyl_commutation_reference(n))
         assert bits(phase.real, phase.imag, residual) == bits(
             dense_phase.real, dense_phase.imag, dense_residual), n
         shift = shift_matrix(n)
-        assert bits(unitarity_residual(shift)) == bits(unitarity_reference(shift)), n
+        assert bits(unitarity_residual(shift)) == bits(references.unitarity_reference(shift)), n
 
 
 def test_permutation_unitarity_takes_the_dense_check_off_a_permutation():
     for entry in (0.5, 1j, 1.0):  # not 0 or 1, or a second 1 in row 0
         shift = shift_matrix(5)
         shift[0, 0] = entry
-        assert unitarity_residual(shift) == unitarity_reference(shift) > 0.1
+        assert unitarity_residual(shift) == references.unitarity_reference(shift) > 0.1
     shift[0, 0] = np.nan
     assert np.isnan(unitarity_residual(shift))
 
@@ -137,12 +105,13 @@ def test_permutation_unitarity_takes_the_dense_check_off_a_permutation():
 def test_unitarity_is_grams_deviation_bit_for_bit():
     for n in range(1, 257):
         for matrix in (dft_matrix(n), clock_matrix(n)):
-            assert bits(unitarity_residual(matrix)) == bits(unitarity_reference(matrix)), n
+            assert bits(unitarity_residual(matrix)) == bits(
+                references.unitarity_reference(matrix)), n
     rng = np.random.default_rng(27)
     for rows, cols in [(1, 1), (2, 2), (3, 2), (2, 3), (8, 8), (5, 17), (17, 5), (64, 64)]:
         for _ in range(10):
             matrix = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-            assert bits(unitarity_residual(matrix)) == bits(unitarity_reference(matrix))
+            assert bits(unitarity_residual(matrix)) == bits(references.unitarity_reference(matrix))
 
 
 def counting_gram(monkeypatch):
@@ -162,7 +131,8 @@ def test_permutations_are_unitary_exactly_without_the_product(monkeypatch):
     for n in (1, 2, 3, 8, 64, 257):
         for _ in range(5):
             permutation = np.eye(n)[rng.permutation(n)]
-            assert unitarity_residual(permutation) == unitarity_reference(permutation) == 0.0
+            assert (unitarity_residual(permutation)
+                    == references.unitarity_reference(permutation) == 0.0)
             assert unitarity_residual(permutation.astype(complex)) == 0.0
             assert unitarity_residual(permutation.astype(int)) == 0.0
     assert calls == []
@@ -172,13 +142,23 @@ def test_a_repeated_unit_row_takes_the_dense_check(monkeypatch):
     calls = counting_gram(monkeypatch)
     # a 0/1 matrix whose entries sum to its 3 rows, one 1 per row but not per column
     matrix = np.array([[1, 0], [0, 1], [1, 0]], dtype=complex)
-    assert unitarity_residual(matrix) == unitarity_reference(matrix) == 1.0
+    assert unitarity_residual(matrix) == references.unitarity_reference(matrix) == 1.0
     assert calls == [(3, 2)]
 
 
 def test_a_1d_input_is_one_row():
     assert unitarity_residual([0, 1, 0]) == 0.0
     assert unitarity_residual([1, 1j]) == gram([1, 1j]).max_deviation == 1.0
+
+
+@pytest.mark.parametrize("check,value", [
+    (gram, np.ones((2, 2, 2)) / 2), (gram, 1.0),
+    (unitarity_residual, np.stack([np.eye(3)] * 3)),
+    (unitarity_residual, np.ones((1, 1, 1))),  # 0/1 entries that sum to its length
+])
+def test_any_other_shape_than_1d_or_2d_is_one_value_error(check, value):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(value)}")):
+        check(value)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 12])

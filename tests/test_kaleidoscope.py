@@ -30,6 +30,7 @@ from catscope import (
 from catscope.fock import _squared
 
 import oracles
+import references
 
 ALPHA_GRID = [0.3, 1.0, 1 + 1j, 2.0, 2.5j]
 U = np.finfo(float).eps
@@ -260,7 +261,6 @@ def test_conditioning_warning_for_tiny_component():
 
 
 def test_no_warning_in_benign_regime():
-    import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConditioningWarning)
         normalization_constants(3, 1.5)
@@ -299,11 +299,11 @@ BASIS_CASES = (st.integers(1, 1024), st.floats(0.0, 26.45, exclude_min=True),
                st.floats(-math.pi, math.pi), st.sampled_from([1e-14, 1e-6, 0.5, 0.9]))
 
 
-def basis_or_none(n, radius, phase, eps):
+def basis_or_none(n, alpha, eps):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         try:
-            return kaleidoscope_basis(n, cmath.rect(radius, phase), eps)
+            return kaleidoscope_basis(n, alpha, eps)
         except DegenerateAlpha:
             return None
 
@@ -317,7 +317,7 @@ def basis_or_none(n, radius, phase, eps):
 def test_basis_phase_is_that_of_level_k(n, radius, phase, eps):
     # row k's level-k amplitude is real positive, so row k is the unit-norm raw
     # cat state turned by e^(-i k arg alpha)
-    basis = basis_or_none(n, radius, phase, eps)
+    basis = basis_or_none(n, cmath.rect(radius, phase), eps)
     if basis is None:
         return
     alpha = basis.alpha
@@ -336,33 +336,24 @@ def test_basis_phase_is_that_of_level_k(n, radius, phase, eps):
     assert (error <= (4 * U * (n + basis.dim) + eps) * math.exp(lam) / f[rows]).all()
 
 
-def off_class(basis):
-    return np.arange(basis.dim) % basis.n != np.arange(basis.n)[:, None]
-
-
-@settings(deadline=None, max_examples=60)
-@given(*BASIS_CASES)
-@example(2, 1.5, -math.pi / 2, 1e-14)
-def test_basis_is_positive_zero_off_its_class(n, radius, phase, eps):
-    # both parts of every off-class cell have the bits of +0.0
-    basis = basis_or_none(n, radius, phase, eps)
-    if basis is not None:
-        assert not basis.states[off_class(basis)].view(np.uint64).any()
-
-
-def dense_basis_reference(n, alpha, eps):
-    """The states as assembled on the whole (n, dim) complex array, each row scaled
-    by its norm and its level-k phase over every cell, off-class zeros included."""
-    alpha = complex(alpha)
-    dim = max(truncation_dim(alpha, eps), n)
-    levels = np.arange(dim)
-    states = np.zeros((n, dim), dtype=complex)
-    states[levels % n, levels] = coherent_state(alpha, dim)
-    states /= np.sqrt(np.add.reduce((states.conj() * states).real, 1, keepdims=True))
-    ks = np.arange(n)
-    lead = states[ks, ks]
-    states /= (lead / np.abs(lead))[:, None]
-    return states
+def assert_basis_keeps_the_reference_bits(n, alpha, eps):
+    # DegenerateAlpha exactly where the reference is None, else every bit (so every
+    # off-class cell is +0j); the deviation's also against the rows whose off-class
+    # zeros took their signs
+    reference = references.basis_reference(n, alpha, eps)
+    basis = basis_or_none(n, alpha, eps)
+    assert (basis is None) == (reference is None)
+    if basis is None:
+        return
+    dim, dense, states, constants, g, deviation = reference
+    report = gram(basis.states)
+    assert basis.dim == dim
+    assert basis.states.tobytes() == states.tobytes()
+    assert basis.norm_constants.tobytes() == constants.tobytes()
+    assert report.gram.tobytes() == g.tobytes()
+    bits = np.float64(report.max_deviation).tobytes()
+    assert bits == np.float64(deviation).tobytes()
+    assert bits == np.float64(gram(dense).max_deviation).tobytes()
 
 
 @settings(deadline=None, max_examples=60)
@@ -370,19 +361,14 @@ def dense_basis_reference(n, alpha, eps):
 @example(2, 1.5, -math.pi / 2, 1e-14)
 @example(1024, 26.45, 2.0, 1e-14)
 def test_basis_keeps_the_dense_row_scaling_bits_in_class(n, radius, phase, eps):
-    # every in-class amplitude, the constants and the Gram deviation keep the bits
-    # of the dense scaling, whose off-class zeros took their row's signs
-    basis = basis_or_none(n, radius, phase, eps)
-    if basis is None:
-        return
-    dense = dense_basis_reference(n, basis.alpha, eps)
-    assert basis.states.tobytes() == np.where(off_class(basis), 0j, dense).tobytes()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditioningWarning)
-        constants = normalization_constants(n, basis.alpha)
-    assert basis.norm_constants.tobytes() == constants.tobytes()
-    assert (np.float64(gram(basis.states).max_deviation).tobytes()
-            == np.float64(gram(dense).max_deviation).tobytes())
+    assert_basis_keeps_the_reference_bits(n, cmath.rect(radius, phase), eps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 64, 128])
+@pytest.mark.parametrize("alpha", [0.2, 1.0, 0.7 + 0.2j, -1.5j, 4.0, 26.0,
+                                   -10.0, cmath.rect(8.0, 0.7)])
+def test_scattered_basis_matches_masked_assembly_bit_for_bit(n, alpha):
+    assert_basis_keeps_the_reference_bits(n, alpha, 1e-14)
 
 
 def test_basis_support_pattern():
@@ -522,48 +508,6 @@ def test_parallel_construction_matches_serial():
         np.testing.assert_array_equal(left.norm_constants, right.norm_constants)
 
 
-def masked_basis_reference(n, alpha, eps=1e-14):
-    """The basis as assembled by a class mask, ``np.linalg.norm`` and the phase of
-    each row's level-k amplitude, off-class cells then set to +0j, with constants
-    from ``modexp_series``; ``None`` where a weight is not normal."""
-    alpha = complex(alpha)
-    lam = abs(alpha) ** 2
-    values = np.array([modexp_series(ModExpSpec(n, k), lam) for k in range(n)])
-    if (math.exp(-lam) * values).min() < np.finfo(float).tiny:
-        return None
-    dim = max(truncation_dim(alpha, eps), n)
-    classes = np.arange(dim) % n
-    states = np.where(classes == np.arange(n)[:, None], coherent_state(alpha, dim), 0.0)
-    states /= np.linalg.norm(states, axis=1, keepdims=True)
-    lead = states[np.arange(n), np.arange(n)]
-    states /= (lead / np.abs(lead))[:, None]
-    states = np.where(classes == np.arange(n)[:, None], states, 0j)
-    constants = math.exp(lam / 2.0) / (n * np.sqrt(values))
-    g = states.conj() @ states.T
-    return dim, states, constants, g, float(np.max(np.abs(g - np.eye(n))))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 64, 128])
-@pytest.mark.parametrize("alpha", [0.2, 1.0, 0.7 + 0.2j, -1.5j, 4.0, 26.0,
-                                   -10.0, cmath.rect(8.0, 0.7)])
-def test_scattered_basis_matches_masked_assembly_bit_for_bit(n, alpha):
-    reference = masked_basis_reference(n, alpha)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditioningWarning)
-        if reference is None:
-            with pytest.raises(DegenerateAlpha):
-                kaleidoscope_basis(n, alpha)
-            return
-        basis = kaleidoscope_basis(n, alpha)
-    dim, states, constants, g, deviation = reference
-    report = gram(basis.states)
-    assert basis.dim == dim
-    assert basis.states.tobytes() == states.tobytes()
-    assert basis.norm_constants.tobytes() == constants.tobytes()
-    assert report.gram.tobytes() == g.tobytes()
-    assert np.float64(report.max_deviation).tobytes() == np.float64(deviation).tobytes()
-
-
 # --------------------------------------------------------------------- gram
 
 
@@ -587,17 +531,13 @@ def test_gram_is_hermitian():
     np.testing.assert_array_equal(report.gram, report.gram.conj().T)
 
 
-def pairwise_vdot_gram(states):
-    return np.array([[np.vdot(u, v) for v in states] for u in states])
-
-
 @pytest.mark.parametrize("count,dim", [(1, 5), (4, 9), (17, 3), (64, 64)])
 def test_gram_matches_pairwise_vdot_on_random_states(count, dim):
     rng = np.random.default_rng(count * dim)
     states = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
     report = gram(states)
-    expected = pairwise_vdot_gram(states)
+    expected = references.gram_reference(states)
     np.testing.assert_allclose(report.gram, expected, rtol=0, atol=1e-15 * dim)
     assert report.max_deviation == pytest.approx(
         np.max(np.abs(expected - np.eye(count))), abs=1e-15 * dim)
@@ -608,7 +548,7 @@ def test_gram_matches_pairwise_vdot_on_basis(n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditioningWarning)
         basis = kaleidoscope_basis(n, 3.0 * cmath.exp(0.4j), 1e-14)
-    np.testing.assert_allclose(gram(basis.states).gram, pairwise_vdot_gram(basis.states),
+    np.testing.assert_allclose(gram(basis.states).gram, references.gram_reference(basis.states),
                                rtol=0, atol=1e-15 * basis.dim)
 
 

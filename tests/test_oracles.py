@@ -8,6 +8,8 @@ call: a test module that writes it changes every test that runs after it.
 """
 
 import math
+import re
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -142,3 +144,15 @@ def test_cat_state_is_its_class_of_amplitudes_over_the_weight():
                 else:
                     assert relative_error(abs(value) ** 2 * weights[k],
                                           abs(amplitudes[m]) ** 2) <= 4 * TOL
+
+
+def test_mpmath_and_the_kept_implementations_each_live_in_one_module():
+    # only the oracles and this module import mpmath, and only references.py
+    # defines a *_reference helper (a test's name may end so)
+    tests = Path(__file__).parent
+    for path in sorted([*tests.glob("*.py"), *tests.parent.glob("src/**/*.py")]):
+        text = path.read_text()
+        if re.search(r"^\s*(from|import(\s+[\w.]+\s*,)*)\s+mpmath\b", text, re.MULTILINE):
+            assert path.name in ("oracles.py", "test_oracles.py"), path
+        helpers = re.findall(r"^def (?!test_)(\w+_reference)\(", text, re.MULTILINE)
+        assert helpers == [] or path.name == "references.py", (path, helpers)
