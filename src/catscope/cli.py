@@ -9,7 +9,8 @@ parser alone, so a usage error after the name prints that command's usage;
 every other argv goes to the top-level parser.
 
 Output goes to stdout (or the --out file) as JSON by default or CSV with
---format csv; diagnostics, library warnings included, go to stderr.
+--format csv; usage and error messages go to stderr.  No command emits a
+warning: the one route that warns, ``cat_states_raw``, is behind no command.
 Serialization is deterministic: fixed key order, floats rendered with 17
 significant digits (``.17g``) so values round-trip exactly.  Each table is
 rendered from its structure by ``_text_rows``: an overlap table from its
@@ -29,7 +30,6 @@ import math
 import os
 import re
 import sys
-import warnings
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -362,10 +362,6 @@ def _parse_args(argv: list) -> argparse.Namespace:
     return parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
-def _format_warning(message, category, *_) -> str:
-    return f"warning: {category.__name__}: {message}\n"  # no source line
-
-
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     command = COMMANDS[args.command]
@@ -404,16 +400,14 @@ def main(argv=None) -> int:
 def run() -> None:
     """Entry point of the ``catscope`` script and ``python -m catscope``.
 
-    Sets the process's warning format to one ``warning: <category>: <message>``
-    line, calls ``main()``, flushes stderr and ends the process with
-    ``os._exit``, so the interpreter's teardown is skipped: atexit handlers,
-    the final garbage collections and the deallocation of every module (numpy's
+    Calls ``main()``, flushes stderr and ends the process with ``os._exit``,
+    so the interpreter's teardown is skipped: atexit handlers, the final
+    garbage collections and the deallocation of every module (numpy's
     included).  That is safe because catscope registers no atexit handler,
     ``main`` has already flushed stdout and closed any ``--out`` file, and the
     kernel releases the rest.  ``SystemExit`` (``--help``, ``--version``,
     usage errors) and uncaught exceptions still leave through the normal exit.
     """
-    warnings.formatwarning = _format_warning
     code = main()
     if sys.stderr is not None:
         sys.stderr.flush()

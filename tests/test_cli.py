@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from catscope import (ConditioningWarning, DegenerateAlpha, cli, coherent_state, gates,
-                      kaleidoscope_basis, weyl_commutation)
+from catscope import (DegenerateAlpha, cli, coherent_state, gates, kaleidoscope_basis,
+                      weyl_commutation)
 
 import oracles
 import references
@@ -113,9 +113,7 @@ def test_dumps_round_trips_byte_identically():
     # "-0", which an int would drop.
     for command in (cli.cmd_basis, cli.cmd_overlap):
         for n in (1, 2, 8, 64):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ConditioningWarning)
-                payload, _ = command(n, 0.7 + 0.2j, 1e-14)
+            payload, _ = command(n, 0.7 + 0.2j, 1e-14)
             text = _dumps(payload)
             assert _dumps(json.loads(text, parse_int=float)) == text
 
@@ -165,12 +163,10 @@ def test_complex_cells_render_each_bit_pair_like_format(pairs):
 @example(1024, 26 + 0j, 1e-14)
 def test_scattered_rows_match_the_distinct_cell_reference(n, alpha, eps):
     # at eps 0.9 and small |alpha| the dim is n, so each row has one nonzero
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditioningWarning)
-        try:
-            states = kaleidoscope_basis(n, alpha, eps).states
-        except DegenerateAlpha:
-            assume(False)
+    try:
+        states = kaleidoscope_basis(n, alpha, eps).states
+    except DegenerateAlpha:
+        assume(False)
     dim = states.shape[1]
     for render in (cli._JSON_COMPLEX.__mod__, "%.17g,%.17g\n".__mod__):  # JSON, CSV
         cells = references.distinct_text_reference(render, states.real, states.imag)
@@ -181,21 +177,19 @@ def test_scattered_rows_match_the_distinct_cell_reference(n, alpha, eps):
 @pytest.mark.parametrize("alpha", ["1+0i", "0.7+0.2i", "-1.5i", "2-1i"])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 128, 257])
 def test_bulk_csv_matches_per_element_oracle(n, alpha, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConditioningWarning)
-        overlap, _ = cli.cmd_overlap(n, cli.parse_complex(alpha), 1e-14)
-        cases = [("overlap", references.overlap_csv_reference(overlap))]
-        try:
-            basis, _ = cli.cmd_basis(n, cli.parse_complex(alpha), 1e-14)
-        except DegenerateAlpha:  # every alpha here is past the existence rule at 257
-            assert n == 257
-            basis = None
-        else:
-            cases.insert(0, ("basis", references.basis_csv_reference(basis)))
-        for command, oracle in cases:
-            assert cli.main([command, "--n", str(n), f"--alpha={alpha}",
-                             "--format", "csv"]) == 0
-            assert capsys.readouterr().out == oracle
+    overlap, _ = cli.cmd_overlap(n, cli.parse_complex(alpha), 1e-14)
+    cases = [("overlap", references.overlap_csv_reference(overlap))]
+    try:
+        basis, _ = cli.cmd_basis(n, cli.parse_complex(alpha), 1e-14)
+    except DegenerateAlpha:  # every alpha here is past the existence rule at 257
+        assert n == 257
+        basis = None
+    else:
+        cases.insert(0, ("basis", references.basis_csv_reference(basis)))
+    for command, oracle in cases:
+        assert cli.main([command, "--n", str(n), f"--alpha={alpha}",
+                         "--format", "csv"]) == 0
+        assert capsys.readouterr().out == oracle
     if alpha == "-1.5i" and basis is not None and n > 1:
         # amplitudes include -0.0, printed as -0
         parts = basis["states"].states.view(np.float64)
@@ -300,9 +294,8 @@ def test_early_reader_leaves_no_descriptor_open(monkeypatch):
 # ----------------------------------------------------------------- processes
 # A test starts a catscope process only where the process is its subject:
 # run() and the entry point, block-buffered stdout and its exit, a reader
-# that leaves the pipe, a closed stdout, an --out file past the buffer, peak
-# RSS and the one-line warning format.  Every other test calls cli.main in
-# the test process.
+# that leaves the pipe, a closed stdout, an --out file past the buffer and
+# peak RSS.  Every other test calls cli.main in the test process.
 
 
 def _read_head_and_leave(*args: str) -> bytes:
@@ -384,11 +377,6 @@ def test_out_file_past_the_buffer_matches_stdout(tmp_path):
 
 
 def test_block_buffered_exit_keeps_stderr_lines_and_codes():
-    warned = run_cli_bytes("basis", "--n", "64", "--alpha", "1+0i", env=BLOCK_BUFFERED)
-    assert warned.returncode == 0
-    assert warned.stderr.startswith(b"warning: ConditioningWarning: ")
-    assert warned.stderr.count(b"\n") == 1 and warned.stderr.endswith(b"\n")
-    assert len(json.loads(warned.stdout)["payload"]["states"]) == 64
     failed = run_cli_bytes("basis", "--n", "2", "--alpha", "0+0i", env=BLOCK_BUFFERED)
     assert (failed.returncode, failed.stdout) == (2, b"")
     assert failed.stderr.startswith(b"error: DegenerateAlpha: ")
@@ -458,16 +446,6 @@ def test_modexp_at_the_n_cap_within_memory_bound(x, tmp_path):
 def test_modexp_past_double_range_at_the_n_cap_within_memory_bound():
     # |x| is checked before the kernel lays out any of its n x rows terms
     assert _peak_rss_mb("modexp", "--n", "1048576", "--s", "0", "--x", "1e7", code=2) < 150
-
-
-def test_library_warning_is_one_stderr_line():
-    proc = run_cli_bytes("basis", "--n", "16", "--alpha", "0.2")
-    assert proc.returncode == 0
-    assert proc.stderr == (
-        b"warning: ConditioningWarning: f_7(|alpha|^2) = 3.251e-14 is below "
-        b"1e-12 * exp(|alpha|^2); normalization constant 7 is ill-conditioned\n")
-    assert b"kaleidoscope.py" not in proc.stderr
-    assert len(json.loads(proc.stdout)["payload"]["states"]) == 16
 
 
 # ------------------------------------------------------------------ commands
@@ -884,19 +862,53 @@ def test_linear_commands_take_n_above_dense_bound(args, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_main_leaves_the_warning_format_to_its_caller(monkeypatch, capsys):
-    # run() sets the one-line format once per process; main() never touches it
-    shown = []
+def _complexes(radius: float):
+    """Complex option values: texts of ``0.05 <= |z| <= radius`` and a few edge cases."""
+    def text(z: complex) -> str:
+        return f"{z.real!r}{'-' if math.copysign(1.0, z.imag) < 0 else '+'}{abs(z.imag)!r}i"
+
+    return st.one_of(
+        st.builds(cmath.rect, st.floats(0.05, radius), st.floats(-math.pi, math.pi))
+        .map(text),
+        st.sampled_from(["0", "0.2", "1", "-i", "27", "1e200", "715", "-800", "nope"]))
+
+
+def _command(name: str, *options):
+    """Argvs of one command: its name, its n, then each option as --<option>=<value>."""
+    return st.tuples(st.just(name), st.integers(-2, 70), *[
+        values.map(f"--{option}={{}}".format) for option, values in options])
+
+
+ALPHAS = _complexes(18)
+EPSILONS = st.sampled_from(["1e-14", "1e-6", "0.5", "0.9", "2", "-1"])
+COMMAND_ARGS = st.one_of(
+    _command("basis", ("alpha", ALPHAS), ("eps", EPSILONS)),
+    _command("overlap", ("alpha", ALPHAS), ("eps", EPSILONS)),
+    _command("modexp", ("s", st.integers(-1, 80)), ("x", _complexes(720))),
+    _command("lemma", ("m", st.integers(-10 ** 6, 10 ** 6)), ("s", st.integers(-5, 80))),
+    _command("gates"))
+
+
+@settings(deadline=None, max_examples=300)
+@given(COMMAND_ARGS, st.sampled_from(["json", "csv"]))
+# the inputs whose basis constants warned before the warning moved to cat_states_raw
+@example(("basis", 16, "--alpha=0.2"), "json")
+@example(("basis", 64, "--alpha=1"), "csv")
+@example(("basis", 16, "--alpha=0.2", "--eps=2"), "json")
+@example(("overlap", 1025, "--alpha=1"), "csv")
+def test_no_command_warns_and_each_exit_has_its_stderr(args, output_format):
+    # any warning, catscope's own or numpy's, is raised out of main as an error
+    command, n, *options = args
     with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        monkeypatch.setattr(warnings, "formatwarning",
-                            lambda message, category, *_: f"caller: {message}")
-        monkeypatch.setattr(warnings, "showwarning",
-                            lambda *args: shown.append(warnings.formatwarning(*args[:4])))
-        assert cli.main(["basis", "--n", "16", "--alpha", "0.2"]) == 0
-    assert shown == ["caller: f_7(|alpha|^2) = 3.251e-14 is below 1e-12 * exp(|alpha|^2); "
-                     "normalization constant 7 is ill-conditioned"]
-    assert capsys.readouterr().err == ""
+        warnings.simplefilter("error")
+        proc = run_cli(command, f"--n={n}", *options, f"--format={output_format}")
+    assert proc.returncode in (0, 1, 2)
+    if proc.returncode == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.endswith("\n")
+    else:
+        assert proc.stderr == "" and proc.stdout
 
 
 # ------------------------------------------------------------------- parsing
