@@ -12,17 +12,18 @@ Output goes to stdout (or the --out file) as JSON by default or CSV with
 --format csv; usage and error messages go to stderr.  No command emits a
 warning: the one route that warns, ``cat_states_raw``, is behind no command.
 Serialization is deterministic: fixed key order, floats rendered with 17
-significant digits (``.17g``) so values round-trip exactly.  Each table is
-rendered from its structure by ``_text_rows``: an overlap table from its
-circulant's first row, rendered once and rotated; the basis from its scatter,
-its dim in-class cells and one zero for the rest.  JSON and CSV go out a
-table row at a time, written as they are made; a CSV row is one list of
-slots, joined once.  ``dumps_record`` writes every JSON record.
+significant digits (``.17g``) so values round-trip exactly.  Every string in
+a record (the command name, each key, the version) is a literal of this
+module or ``__version__`` that needs no escaping, so it is written between
+quotes as it stands.  Each table is rendered from its structure by
+``_text_rows``: an overlap table from its circulant's first row, rendered
+once and rotated; the basis from its scatter, its dim in-class cells and one
+zero for the rest.  JSON and CSV go out a table row at a time, written as
+they are made; a CSV row is one list of slots, joined once.
+``dumps_record`` writes every JSON record.
 
 Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -30,7 +31,6 @@ import math
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -126,12 +126,12 @@ def _to_json(value, write) -> None:
         write("%.17g" % value)
     elif isinstance(value, complex):
         write(_JSON_COMPLEX % (value.real, value.imag))
-    elif isinstance(value, str):
-        write(encode_basestring_ascii(value))  # json.dumps(str) with its defaults
+    elif isinstance(value, str):  # a literal of this module or __version__
+        write(f'"{value}"')
     elif isinstance(value, dict):
         write("{")
         for i, (key, item) in enumerate(value.items()):
-            write(("," if i else "") + encode_basestring_ascii(key) + ":")
+            write(f'{"," if i else ""}"{key}":')
             _to_json(item, write)
         write("}")
     elif isinstance(value, (_Circulant, _Scattered)):  # complex: {"re","im"} items

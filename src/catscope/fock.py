@@ -11,8 +11,6 @@ instead of forming ``alpha^m`` and ``m!`` separately, which keeps every partial
 value bounded by 1 for truncation dimensions up to several thousand.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 

@@ -26,8 +26,6 @@ has one entry per row and O(n) work gives the dense products' values bit for
 bit.
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .kaleidoscope import _rows, dft_matrix, gram
@@ -58,10 +56,11 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     ValueError before any test.  A 0/1 permutation matrix gives exactly 0.0 in
     floating point too, and is answered so without the product.  Its entries
     sum to its row count exactly, and that one pass is tested first, so a
-    dense matrix goes to the product before any entrywise test.
+    dense matrix goes to the product before any entrywise test.  A matrix with
+    no row takes the product too, which rejects it as :func:`gram` does.
     """
     matrix = _rows(matrix)
-    if matrix.sum() == len(matrix):
+    if matrix.sum() == len(matrix) > 0:
         ones = matrix == 1
         if ((ones | (matrix == 0)).all() and (ones.sum(axis=0) == 1).all()
                 and (ones.sum(axis=1) == 1).all()):

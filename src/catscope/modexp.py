@@ -35,8 +35,6 @@ real ``x = |alpha|^2``: the series is entire so the extension is free.
 All functions are pure and thread-safe; there are no caches.
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 import operator

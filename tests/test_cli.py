@@ -294,8 +294,22 @@ def test_early_reader_leaves_no_descriptor_open(monkeypatch):
 # ----------------------------------------------------------------- processes
 # A test starts a catscope process only where the process is its subject:
 # run() and the entry point, block-buffered stdout and its exit, a reader
-# that leaves the pipe, a closed stdout, an --out file past the buffer and
-# peak RSS.  Every other test calls cli.main in the test process.
+# that leaves the pipe, a closed stdout, an --out file past the buffer, peak
+# RSS and the modules a fresh interpreter imports.  Every other test calls
+# cli.main in the test process.
+
+
+def test_cli_adds_no_json_or_future_module_to_numpy():
+    # every record string is a literal written as it stands, and every
+    # annotation evaluates where it stands, so neither package is needed
+    script = ("import sys, numpy; before = set(sys.modules); import catscope.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    added = proc.stdout.split()
+    assert "catscope.cli" in added
+    assert [name for name in added
+            if name.split(".")[0] in ("json", "_json", "__future__")] == []
 
 
 def _read_head_and_leave(*args: str) -> bytes:

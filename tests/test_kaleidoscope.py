@@ -27,6 +27,7 @@ from catscope import (
     roots_lemma_sum,
     rotated_coherent_states,
     truncation_dim,
+    unitarity_residual,
 )
 from catscope.fock import _squared
 
@@ -582,6 +583,10 @@ def test_gram_matches_pairwise_vdot_on_basis(n):
 def test_gram_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         gram(np.empty((0, 4), dtype=complex))
+    # 0 x 0 sums to its 0 rows, as a permutation does, but is no state set
+    for check in (gram, unitarity_residual):
+        with pytest.raises(ValueError, match="need at least one state"):
+            check(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         gram([np.zeros(3, dtype=complex), np.zeros(4, dtype=complex)])
 

@@ -309,6 +309,8 @@ def test_spec_validation():
         ModExpSpec(3, -1)
     with pytest.raises(ValueError):
         modexp_all(0, 1.0)
+    with pytest.raises(ValueError, match="derivative order must be >= 0"):
+        derivative_residue(ModExpSpec(3, 1), order=-1)
 
 
 # Every integer argument in the package: a float, even an integral one, is no
