@@ -22,7 +22,9 @@ zero for the rest.  JSON and CSV go out a table row at a time, written as
 they are made; a CSV row is one list of slots, joined once.
 ``dumps_record`` writes every JSON record.
 
-Exit codes: 0 success, 1 tolerance failure, 2 usage or input error.
+Exit codes: 0 success, 1 tolerance failure (a ``gates`` residual, or
+``overlap``'s closed form and Fock row disagreeing beyond their bound, with the
+full record still written), 2 usage or input error.
 """
 
 import argparse
@@ -45,6 +47,9 @@ from .modexp import ModExpSpec, _roots, modexp_roots, modexp_series
 
 GATES_TOLERANCE = 1e-12
 LEMMA_TOLERANCE = 1e-12
+# c in overlap's bound eps + c*u*(|alpha|^2 + dim); the largest c needed over
+# 40,445 seeded draws (n <= 1024, |alpha| <= 26.45, eps 1e-14 to 0.9) was 3.28
+_OVERLAP_ROUNDING = 16
 # basis, overlap, gates hold n x max(n, dim) arrays; lemma, modexp length-n ones
 MAX_DENSE_N = 1024
 _JSON_COMPLEX = '{"re":%.17g,"im":%.17g}'
@@ -116,14 +121,15 @@ def _text_rows(render, *tables):
         yield row
 
 
+def _scalar(value) -> str:
+    """A float as ``%.17g``, an int as its digits, a bool as true/false: in JSON and CSV."""
+    return "%.17g" % value if isinstance(value, float) else str(value).lower()
+
+
 def _to_json(value, write) -> None:
     """Pass ``value``'s canonical JSON to ``write`` in pieces, a table one row each."""
-    if isinstance(value, bool):
-        write("true" if value else "false")
-    elif isinstance(value, int):
-        write(str(value))
-    elif isinstance(value, float):
-        write("%.17g" % value)
+    if isinstance(value, (int, float)):  # a bool is an int
+        write(_scalar(value))
     elif isinstance(value, complex):
         write(_JSON_COMPLEX % (value.real, value.imag))
     elif isinstance(value, str):  # a literal of this module or __version__
@@ -170,11 +176,10 @@ def _one_row(params: dict, payload: dict):
     for name, value in (*params.items(), *payload.items()):
         if isinstance(value, complex):
             header += f"{name}_re", f"{name}_im"
-            row += "%.17g" % value.real, "%.17g" % value.imag
-        else:  # a float, an int, or a bool rendered as true/false
+            row += _scalar(value.real), _scalar(value.imag)
+        else:
             header.append(name)
-            row.append("%.17g" % value if isinstance(value, float)
-                       else str(value).lower())
+            row.append(_scalar(value))
     yield f"{','.join(header)}\n{','.join(row)}\n"
 
 
@@ -283,7 +288,10 @@ def cmd_overlap(n: int, alpha: complex, eps: float):
         "fock": _Circulant(fock),
         "max_abs_difference": max(map(math.hypot, d.real.tolist(), d.imag.tolist())),
     }
-    return payload, 0
+    # the Fock row drops a tail below eps; each route rounds by a few u per level
+    # and per unit of |alpha|^2 (Higham, ch. 3-4)
+    bound = eps + _OVERLAP_ROUNDING * np.finfo(float).eps * (abs(alpha) ** 2 + dim)
+    return payload, 0 if payload["max_abs_difference"] <= bound else 1
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +332,7 @@ COMMANDS = {
 
 
 def _build_parser() -> tuple:
-    """The top-level parser, and each command's own parser by name."""
+    """The top-level parser, and argparse's own map of each command's parser by name."""
     parser = argparse.ArgumentParser(
         prog="catscope",
         description="Orthonormal qudit cat-state bases from rotated coherent "
@@ -332,9 +340,8 @@ def _build_parser() -> tuple:
                     "gate checks.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    command_parsers = {}
     for name, command in COMMANDS.items():
-        p = command_parsers[name] = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="output format (default: json)")
         p.add_argument("--out", metavar="FILE",
@@ -342,7 +349,7 @@ def _build_parser() -> tuple:
         for param, kind, help_text, default in command.params:
             p.add_argument(f"--{param}", type=str if kind is complex else kind,
                            required=default is None, default=default, help=help_text)
-    return parser, command_parsers
+    return parser, sub.choices
 
 
 _PARSER, _COMMAND_PARSERS = _build_parser()

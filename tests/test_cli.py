@@ -771,6 +771,30 @@ def test_overlap_max_difference_is_the_largest_csv_cell(n, alpha):
     assert payload["max_abs_difference"].hex() == largest.hex()
 
 
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_overlap_exits_1_when_its_two_routes_disagree(output_format, monkeypatch):
+    # a relative 1e-9 on the closed form is far past eps + c*u*(|alpha|^2 + dim)
+    closed = cli.coherent_overlap_closed
+    monkeypatch.setattr(cli, "coherent_overlap_closed",
+                        lambda a, b: closed(a, b) * (1 + 1e-9))
+    proc = run_cli("overlap", "--n", "4", "--alpha", "1+0i", "--format", output_format)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    if output_format == "json":  # the full record is still written
+        assert len(json.loads(proc.stdout)["payload"]["fock"]) == 4
+    else:
+        assert proc.stdout.count("\n") == 1 + 4 * 4
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 1024),
+       st.builds(cmath.rect, st.floats(0, 26.45), st.floats(-math.pi, math.pi)),
+       st.sampled_from([1e-14, 1e-10, 1e-6, 1e-3, 0.5, 0.9]))
+@example(1024, 26.45 + 0j, 1e-14)  # the largest dim and |alpha|^2
+def test_overlap_routes_agree_within_their_bound(n, alpha, eps):
+    payload, code = cli.cmd_overlap(n, alpha, eps)
+    assert code == 0, payload["max_abs_difference"]
+
+
 # ----------------------------------------------------------- --out and --eps
 
 
