@@ -17,14 +17,15 @@ a record (the command name, each key, the version) is a literal of this
 module or ``__version__`` that needs no escaping, so it is written between
 quotes as it stands.  Each table is rendered from its structure by
 ``_text_rows``: an overlap table from its circulant's first row, rendered
-once and rotated; the basis from its scatter, its dim in-class cells and one
-zero for the rest.  JSON and CSV go out a table row at a time, written as
-they are made; a CSV row is one list of slots, joined once.
+once and rotated; the basis from the ``KaleidoscopeBasis`` itself, its dim
+in-class cells and one zero for the rest.  JSON and CSV go out a table row at
+a time, written as they are made; a CSV row is one list of slots, joined once.
 ``dumps_record`` writes every JSON record.
 
-Exit codes: 0 success, 1 tolerance failure (a ``gates`` residual, or
-``overlap``'s closed form and Fock row disagreeing beyond their bound, with the
-full record still written), 2 usage or input error.
+Exit codes: 0 success, 1 tolerance failure (a ``gates`` residual,
+``overlap``'s closed form and Fock row disagreeing beyond their bound, or
+``lemma``'s direct sum missing n*delta, with the full record still written),
+2 usage or input error.
 """
 
 import argparse
@@ -41,7 +42,7 @@ from . import __version__
 from .fock import coherent_overlap_closed, truncation_dim
 from .gates import (clock_matrix, shift_matrix, unitarity_residual,
                     verify_clock_shift_decomposition, weyl_commutation)
-from .kaleidoscope import (dft_matrix, gram, kaleidoscope_basis,
+from .kaleidoscope import (KaleidoscopeBasis, dft_matrix, gram, kaleidoscope_basis,
                            roots_lemma_sum, rotated_coherent_states)
 from .modexp import ModExpSpec, _roots, modexp_roots, modexp_series
 
@@ -83,15 +84,6 @@ class _Circulant(NamedTuple):
     row: np.ndarray
 
 
-class _Scattered(NamedTuple):
-    """An n x dim complex table whose row k is +0j off the levels congruent to k mod n.
-
-    ``states`` is the table, as :func:`kaleidoscope_basis` builds it.
-    """
-
-    states: np.ndarray
-
-
 def _rendered(render, *arrays) -> list:
     """``render(cell)`` of each cell, the tuple of the arrays' real and imaginary parts."""
     return list(map(render, zip(*[part.tolist() for array in arrays
@@ -102,8 +94,9 @@ def _text_rows(render, *tables):
     """Each row of the complex ``tables`` as a list of ``render(cell)`` strings.
 
     A cell is the tuple of the tables' real and imaginary parts at one place.
-    A circulant renders its row 0 and rotates it; a scattered table renders
-    its dim in-class cells and one +0j for all its other cells.
+    A circulant renders its row 0 and rotates it.  A :class:`KaleidoscopeBasis`
+    is its states table, whose row k is +0j off the levels congruent to k mod
+    n: it renders its dim in-class cells and one +0j for all its other cells.
     """
     if isinstance(tables[0], _Circulant):
         cells = _rendered(render, *[table.row for table in tables]) * 2
@@ -140,7 +133,7 @@ def _to_json(value, write) -> None:
             write(f'{"," if i else ""}"{key}":')
             _to_json(item, write)
         write("}")
-    elif isinstance(value, (_Circulant, _Scattered)):  # complex: {"re","im"} items
+    elif isinstance(value, (_Circulant, KaleidoscopeBasis)):  # {"re","im"} items
         write("[")
         for i, cells in enumerate(_text_rows(_JSON_COMPLEX.__mod__, value)):
             write(("," if i else "") + "[" + ",".join(cells) + "]")
@@ -225,7 +218,7 @@ def cmd_basis(n: int, alpha: complex, eps: float):
     report = gram(basis.states)
     payload = {
         "dim": basis.dim,
-        "states": _Scattered(basis.states),
+        "states": basis,
         "norm_constants": basis.norm_constants.tolist(),
         "gram_max_deviation": report.max_deviation,
     }
@@ -254,7 +247,7 @@ def cmd_lemma(n: int, m: int, s: int):
     expected = 0.0 if r else float(n)
     matches = abs(value - expected) < _lemma_tolerance(n, r)
     payload = {"sum": value, "expected": expected, "matches_delta": bool(matches)}
-    return payload, 0
+    return payload, 0 if matches else 1
 
 
 def cmd_gates(n: int):

@@ -156,6 +156,50 @@ def creation_dropped_weight(v: FockVector) -> float:
     return dim * abs(v[dim - 1]) ** 2 if dim else 0.0  # dim 0: nothing passes the edge
 
 
+def _class_dim(alpha: complex, eps: float, n: int) -> int:
+    """Smallest dimension at which every class mod n keeps all but ``eps`` of its weight.
+
+    Class k holds the levels m congruent to k mod n and the Poisson weight
+    ``p_k = exp(-|alpha|^2) * f_k(|alpha|^2)``.  Finds the smallest D with
+    ``tail_k(D) = exp(-|alpha|^2) * sum_{m>=D, m = k mod n} |alpha|^(2m)/m! <
+    eps * p_k`` for every k.  Each class keeps at least its level k, so
+    ``D >= n``; for n = 1 this is :func:`truncation_dim`.
+    """
+    lam = _intensity(alpha)
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+
+    # The one cut-off: Poisson weights p_m = exp(-lam) lam^m / m! for m < rows * n,
+    # laid out n to a row so that column k is class k.  Since m! >= (m/e)^m, every
+    # m >= e^2 lam has p_m <= exp(-m), so the weights past the first rows * n sum
+    # to below eps * 1e-8 (or 5e-324), far below eps.  A class of small p_k needs
+    # more: past e^2 lam each class weight is below e^-2n of the one a row before,
+    # so the rows are doubled until the last row is below eps * 1e-8 of every
+    # p_k; for n = 1 the first pass always is.
+    rows = int(max(math.e ** 2 * lam, -math.log(max(eps * 1e-8, 5e-324))) / n) + 2
+    while True:
+        weights = _exp_terms(math.exp(-lam), lam, rows * n).reshape(rows, n)
+        if eps > 0.5:
+            # A tail near p_k is p_k minus a few weights, lost to rounding; the head
+            # sums keep them.  tail_k(d) >= eps p_k iff head_k(d) <= (1 - eps) p_k,
+            # which is exact for eps > 1/2.  heads[r, k] sums the rows before r,
+            # so it is head_k(r * n + k); row 0's is 0 and always kept.
+            heads = np.vstack((np.zeros(n), weights)).cumsum(axis=0)
+            totals = heads[-1]
+            kept = heads[:-1] <= (1.0 - eps) * totals
+        else:
+            # the columns are suffix-summed smallest-first, so the tiny tails are
+            # not lost to cancellation; tails[r, k] is tail_k(r * n + k)
+            tails = weights[::-1].cumsum(axis=0)[::-1]
+            totals = tails[0]
+            kept = tails >= eps * totals
+        if (weights[-1] <= 1e-8 * eps * totals).all():
+            # level r * n + k is kept iff tail_k there reaches eps p_k; the answer
+            # is one past the highest kept level, the first True from the end
+            return kept.size - int(kept.ravel()[::-1].argmax())
+        rows *= 2
+
+
 def truncation_dim(alpha: complex, eps: float) -> int:
     """Smallest dimension whose truncated Poisson tail weight is below ``eps``.
 
@@ -166,21 +210,4 @@ def truncation_dim(alpha: complex, eps: float) -> int:
         alpha: coherent amplitude (only ``|alpha|`` matters).
         eps: tail budget, strictly between 0 and 1.
     """
-    lam = _intensity(alpha)
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-
-    # The one cut-off: Poisson weights p_m = exp(-lam) lam^m / m! for m < count.
-    # Since m! >= (m/e)^m, every m >= e^2 lam has p_m <= exp(-m), so the weights
-    # past count sum to below eps * 1e-8 (or 5e-324), far below eps.  They are
-    # suffix-summed smallest-first so the tiny tails are not lost to cancellation.
-    count = int(max(math.e ** 2 * lam, -math.log(max(eps * 1e-8, 5e-324)))) + 2
-    weights = _exp_terms(math.exp(-lam), lam, count)
-    if eps > 0.5:
-        # A tail near 1 is 1 minus a few weights, lost to rounding; the head sums
-        # (the CDF) keep them.  tail(d) >= eps iff head(d) <= 1 - eps, which is
-        # exact for eps > 1/2.  head(0) = 0, and cumsum()[d - 1] is head(d).
-        return 1 + int(np.count_nonzero(weights[:-1].cumsum() <= 1.0 - eps))
-    tails = weights[::-1].cumsum()
-    # every level d whose tail weight reaches eps lies below the answer
-    return max(int(np.count_nonzero(tails >= eps)), 1)
+    return _class_dim(alpha, eps, 1)

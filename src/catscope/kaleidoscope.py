@@ -10,18 +10,17 @@ Each output is normalized by the norm of its own class of coherent
 amplitudes; the mod-n exponentials give only the reported ``norm_constants``
 and the check that every state exists.
 
-All builders are pure functions; :class:`KaleidoscopeBasis` is frozen and its
-arrays are marked read-only, so instances are safe to share across threads.
+All builders are pure functions; :class:`KaleidoscopeBasis` is a named tuple and
+its arrays are marked read-only, so instances are safe to share across threads.
 """
 
 import math
 import warnings
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .fock import _intensity, coherent_state, truncation_dim
+from .fock import _class_dim, _intensity, coherent_state
 from .modexp import ModExpSpec, _check_n, _index, _roots, modexp_all
 
 __all__ = ["ConditioningWarning", "DegenerateAlpha", "GramReport", "KaleidoscopeBasis",
@@ -52,8 +51,7 @@ class ConditioningWarning(RuntimeWarning):
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
 
-@dataclass(frozen=True)
-class KaleidoscopeBasis:
+class KaleidoscopeBasis(NamedTuple):
     """n orthonormal cat states for one coherent amplitude.
 
     Attributes:
@@ -69,7 +67,8 @@ class KaleidoscopeBasis:
         norm_constants: per-state closed-form coefficients; the k-th value
             multiplies the bare sum ``sum_j w^(j*k) |w2^j alpha>`` to produce
             the unit-norm state.
-        tail_eps: Poisson tail budget used to pick ``dim``.
+        tail_eps: the share of its cat state each state may drop, used to pick
+            ``dim``.
     """
 
     n: int
@@ -80,8 +79,7 @@ class KaleidoscopeBasis:
     tail_eps: float
 
 
-@dataclass(frozen=True)
-class GramReport:
+class GramReport(NamedTuple):
     """Gram matrix of a state set and its entrywise distance from identity."""
 
     gram: np.ndarray
@@ -174,9 +172,13 @@ def normalization_constants(n: int, alpha: complex) -> np.ndarray:
 def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> KaleidoscopeBasis:
     """Build the n orthonormal cat states for amplitude ``alpha``.
 
-    The shared truncation dimension comes from ``truncation_dim(alpha, eps)``
-    (rotations preserve ``|alpha|``), padded to at least n so every state
-    keeps its leading Fock level.  Each state equals the unit-norm scaling of
+    The shared truncation dimension is the smallest at which every state keeps
+    all but ``eps`` of its cat state: class k, the levels congruent to k mod n
+    with weight ``p_k = exp(-|alpha|^2) * f_k(|alpha|^2)``, drops a tail below
+    ``eps * p_k``.  So state k's infidelity ``1 - |<cat_k|state_k>|^2``, which
+    is that dropped share, is below ``eps`` however small ``p_k``.  Rotations
+    preserve ``|alpha|``, so one dim serves all n; each class keeps its level
+    k, so ``dim >= n``.  Each state equals the unit-norm scaling of
     the corresponding :func:`cat_states_raw` row, but it is built on its own
     class: coherent amplitude m belongs to state ``m mod n``.  Each amplitude
     is divided by the norm of its class, then by the unit phase of its
@@ -191,14 +193,6 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     at most ``10 * u`` (``u = 2.2e-16``) even where :func:`cat_states_raw`
     warns with :class:`ConditioningWarning`.
 
-    ``eps`` bounds the coherent state's total tail, not each state's.  State
-    k holds the class weight ``p_k = exp(-|alpha|^2) * f_k(|alpha|^2)`` and
-    can drop up to ``eps / p_k`` of it, while the Gram deviation stays near
-    ``u`` and nothing warns.  At ``(n, alpha, eps) = (64, 5, 1e-10)`` dim is 64
-    and state 0 has infidelity ``1 - |<cat_0|state_0>|^2`` = 0.698; at
-    ``(32, 4, 1e-3)`` it is 0.9992, and at ``(64, 4.5)`` with the default eps
-    3.2e-6.
-
     Up to rounding and truncation,
     ``states[k] = e^(-i*k*arg(alpha)) * sqrt(n) * norm_constants[k] * raw[k]``
     with ``raw = cat_states_raw(n, alpha, dim)``.  So at every ``|alpha|``, ``a``
@@ -212,7 +206,7 @@ def kaleidoscope_basis(n: int, alpha: complex, eps: float = 1e-14) -> Kaleidosco
     """
     alpha = complex(alpha)
     constants = normalization_constants(n, alpha)  # checks n and that the states exist
-    dim = max(truncation_dim(alpha, eps), n)
+    dim = _class_dim(alpha, eps, n)
     levels = np.arange(dim)
     classes = levels % n
     amps = coherent_state(alpha, dim)

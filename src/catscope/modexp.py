@@ -38,8 +38,7 @@ All functions are pure and thread-safe; there are no caches.
 import cmath
 import math
 import operator
-
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,17 +86,23 @@ def _exp_terms(first: float, x: complex, count: int) -> np.ndarray:
     return np.concatenate(([first], x / np.arange(1, count))).cumprod()
 
 
-@dataclass(frozen=True)
-class ModExpSpec:
-    """Selector (n, s) for the mod-n exponential function f_s."""
+class ModExpSpec(NamedTuple("ModExpSpec", [("n", int), ("s", int)])):
+    """Selector (n, s) for the mod-n exponential function f_s.
 
-    n: int
-    s: int
+    Every route that makes one, ``_make`` and so ``_replace`` too, checks it.
+    """
 
-    def __post_init__(self):
-        _check_n(self.n)
-        if not 0 <= _index(self.s, "s") < self.n:
-            raise ValueError(f"residue s must lie in [0, {self.n}), got {self.s}")
+    __slots__ = ()
+
+    def __new__(cls, n: int, s: int):
+        _check_n(n)
+        if not 0 <= _index(s, "s") < n:
+            raise ValueError(f"residue s must lie in [0, {n}), got {s}")
+        return super().__new__(cls, n, s)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _check_finite(x: complex, name: str = "argument") -> complex:

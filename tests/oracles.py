@@ -78,6 +78,29 @@ def poisson_tail(lam, d):
         return mp.gammainc(d, 0, lam, regularized=True)
 
 
+def class_tails(n, lam, dim):
+    """The weight of each class past level dim, ``e^-lam sum_{m >= dim, m = k mod n} lam^m/m!``.
+
+    Summed from level dim on, as :func:`mod_exponentials` sums from 0, so each
+    tail is right to DPS digits however small next to its class weight.  The
+    summing stops at the end of a round of n terms, once ``m > 2 lam`` and the
+    next term is below ``10^-(DPS+1)`` of every tail.
+    """
+    with mp.workdps(DPS + 10):
+        lam = mp.mpf(lam)
+        big, tol = 2 * lam, mp.mpf(10) ** -(DPS + 1)
+        sums = [mp.mpf(0)] * n
+        m, term = dim, mp.exp(-lam) * lam ** dim / mp.factorial(dim)
+        while True:
+            sums[m % n] += term
+            m += 1
+            term *= lam / m
+            if (m - dim) % n == 0 and m > big and term <= tol * min(sums):
+                break
+    with mp.workdps(DPS):
+        return [+v for v in sums]
+
+
 def rotated_overlap_row(n, alpha):
     """``<alpha|w2^d alpha> = exp(|alpha|^2 (w2^d - 1))`` for d < n, ``w2 = e^(2 pi i/n)``.
 

@@ -11,9 +11,9 @@ import re
 
 import numpy as np
 
-from catscope import (SeriesCapError, clock_matrix, coherent_state, modexp_all, shift_matrix,
-                      truncation_dim)
-from catscope.modexp import _ABS_FLOOR, _REL_TOL, _check_finite, _range_error
+from catscope import SeriesCapError, clock_matrix, coherent_state, modexp_all, shift_matrix
+from catscope.fock import _class_dim
+from catscope.modexp import _ABS_FLOOR, _REL_TOL, _check_finite, _exp_terms, _range_error
 
 REFERENCE_MAX_TERMS = 10_000  # series_reference's bound on its loop, one term of f_s a step
 
@@ -45,6 +45,16 @@ def raises_series_cap(spec, x):
     except SeriesCapError:
         return True
     return False
+
+
+def truncation_dim_reference(alpha, eps):
+    """truncation_dim's values, by the total tail; it is _class_dim at n = 1; no open item."""
+    lam = abs(complex(alpha)) ** 2
+    count = int(max(math.e ** 2 * lam, -math.log(max(eps * 1e-8, 5e-324)))) + 2
+    weights = _exp_terms(math.exp(-lam), lam, count)
+    if eps > 0.5:  # a tail near 1 rounds away; the head sums (the CDF) keep it
+        return 1 + int(np.count_nonzero(weights[:-1].cumsum() <= 1.0 - eps))
+    return max(int(np.count_nonzero(weights[::-1].cumsum() >= eps)), 1)
 
 
 def unitarity_reference(matrix):
@@ -161,14 +171,14 @@ def inner_product_reference(u, v):
 
 
 def basis_reference(n, alpha, eps):
-    """kaleidoscope_basis's bits; class norms summed as dense rows; items 15, 9 and 12 move it."""
+    """kaleidoscope_basis's bits; class norms summed as dense rows; items 9 and 12 move it."""
     # the rows before and after their off-class cells are set to +0j, or None
     alpha = complex(alpha)
     lam = abs(alpha) ** 2
     values = modexp_all(n, lam)  # modexp_series(ModExpSpec(n, k), lam) is its entry k
     if (math.exp(-lam) * values).min() < np.finfo(float).tiny:
         return None
-    dim = max(truncation_dim(alpha, eps), n)
+    dim = _class_dim(alpha, eps, n)
     classes = np.arange(dim) % n
     dense = np.zeros((n, dim), dtype=complex)
     dense[classes, np.arange(dim)] = coherent_state(alpha, dim)

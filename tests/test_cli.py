@@ -164,13 +164,13 @@ def test_complex_cells_render_each_bit_pair_like_format(pairs):
 def test_scattered_rows_match_the_distinct_cell_reference(n, alpha, eps):
     # at eps 0.9 and small |alpha| the dim is n, so each row has one nonzero
     try:
-        states = kaleidoscope_basis(n, alpha, eps).states
+        basis = kaleidoscope_basis(n, alpha, eps)
     except DegenerateAlpha:
         assume(False)
-    dim = states.shape[1]
+    states, dim = basis.states, basis.dim
     for render in (cli._JSON_COMPLEX.__mod__, "%.17g,%.17g\n".__mod__):  # JSON, CSV
         cells = references.distinct_text_reference(render, states.real, states.imag)
-        assert list(cli._text_rows(render, cli._Scattered(states))) == [
+        assert list(cli._text_rows(render, basis)) == [
             cells[k * dim:(k + 1) * dim] for k in range(n)]
 
 
@@ -300,8 +300,9 @@ def test_early_reader_leaves_no_descriptor_open(monkeypatch):
 
 
 def test_cli_adds_no_json_or_future_module_to_numpy():
-    # every record string is a literal written as it stands, and every
-    # annotation evaluates where it stands, so neither package is needed
+    # every record string is a literal written as it stands, every annotation
+    # evaluates where it stands, and every record is a NamedTuple, so none of
+    # json, __future__, dataclasses or copy is needed
     script = ("import sys, numpy; before = set(sys.modules); import catscope.cli; "
               "print(*sorted(set(sys.modules) - before))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -309,7 +310,8 @@ def test_cli_adds_no_json_or_future_module_to_numpy():
     added = proc.stdout.split()
     assert "catscope.cli" in added
     assert [name for name in added
-            if name.split(".")[0] in ("json", "_json", "__future__")] == []
+            if name.split(".")[0] in ("json", "_json", "__future__", "dataclasses",
+                                      "copy")] == []
 
 
 def _read_head_and_leave(*args: str) -> bytes:
@@ -625,6 +627,22 @@ def test_lemma_verdict_holds_at_the_largest_n(r, capsys):
 def test_lemma_tolerance_is_the_fixed_one_where_terms_are_exact():
     assert cli._lemma_tolerance(2 ** 20, 0) == cli.LEMMA_TOLERANCE
     assert all(cli._lemma_tolerance(4, r) == cli.LEMMA_TOLERANCE for r in range(4))
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_lemma_exits_1_when_its_verdict_fails(output_format, monkeypatch):
+    # the benchmark grid's lemmas hold; a sum off by 1e-6 is far past the tolerance
+    for n in (2, 8, 32, 64):
+        for m in (1, 2, 3, 4):
+            assert run_cli("lemma", "--n", str(n), "--m", str(m), "--s", "0").returncode == 0
+    direct = cli.roots_lemma_sum
+    monkeypatch.setattr(cli, "roots_lemma_sum", lambda n, m, s: direct(n, m, s) + 1e-6)
+    proc = run_cli("lemma", "--n", "4", "--m", "2", "--s", "0", "--format", output_format)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    if output_format == "json":  # the full record is still written
+        assert json.loads(proc.stdout)["payload"]["matches_delta"] is False
+    else:
+        assert proc.stdout.splitlines()[1].endswith(",false")
 
 
 def test_gates_n2_residuals_tiny():

@@ -358,6 +358,21 @@ def test_truncation_dim_matches_tail_oracle(alpha, eps):
         assert oracles.poisson_tail(lam, d - 1) >= eps
 
 
+def test_truncation_dim_keeps_the_total_tail_rule():
+    # truncation_dim is the per-class rule at n = 1, whose one class is the whole
+    # state: 2,200 seeded pairs, up to |alpha|^2 = 700 and from eps 5e-324 to 1 - 2^-53
+    rng = np.random.default_rng(15)
+    radii = [*np.linspace(0.0, 26.45, 50), *rng.uniform(0.0, 26.45, 50)]
+    epsilons = [5e-324, 1e-320, 1e-300, 1e-16, 1e-14, 1e-10, 1e-6, 1e-3, 0.1, 0.5,
+                0.5000001, 0.7, 0.999999, 1 - 2 ** -53, *10 ** rng.uniform(-300, 0, 5),
+                *rng.uniform(0.5, 1.0, 3)]
+    for radius in radii:
+        for eps in epsilons:
+            alpha = cmath.rect(radius, radius)
+            assert truncation_dim(alpha, eps) == references.truncation_dim_reference(
+                alpha, eps), (radius, eps)
+
+
 def test_truncation_dim_rejects_bad_eps():
     with pytest.raises(ValueError):
         truncation_dim(1.0, 0.0)

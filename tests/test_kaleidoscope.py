@@ -29,7 +29,7 @@ from catscope import (
     truncation_dim,
     unitarity_residual,
 )
-from catscope.fock import _squared
+from catscope.fock import _class_dim, _squared
 
 import oracles
 import references
@@ -403,6 +403,51 @@ def test_scattered_basis_matches_masked_assembly_bit_for_bit(n, alpha):
     assert_basis_keeps_the_reference_bits(n, alpha, 1e-14)
 
 
+def assert_each_state_drops_below_eps_of_its_cat_state(n, alpha, eps):
+    # state k's infidelity against its untruncated cat state, c_m / sqrt(p_k) on
+    # class k, is its class's dropped share tail_k / p_k; the measured one adds a
+    # few roundings per level.  dim is the smallest that keeps every share below eps
+    basis = basis_or_none(n, alpha, eps)
+    if basis is None:
+        return None
+    dim, lam = basis.dim, abs(alpha) ** 2
+    weights = np.array(oracles.class_weights(n, lam), dtype=float)
+    shares = np.array(oracles.class_tails(n, lam, dim), dtype=float) / weights
+    assert (shares < eps).all()
+    amplitudes = np.array(oracles.coherent_amplitudes(alpha, dim), dtype=complex)
+    fidelity = np.abs(basis.states.conj() @ amplitudes) ** 2 / weights
+    assert (1.0 - fidelity <= eps + 4 * U * dim).all()
+    level = dim - 1  # one level fewer drops its class's share past eps
+    tail = oracles.class_tails(n, lam, level)[level % n]
+    assert tail / weights[level % n] >= eps
+    return basis
+
+
+def cat_state_cases(count):
+    rng = np.random.default_rng(15)
+    return [(int(rng.integers(1, 65)), cmath.rect(rng.uniform(0.0, 8.0), rng.uniform(-4, 4)),
+             float(rng.choice([1e-14, 1e-10, 1e-6, 1e-3]))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n,alpha,eps", cat_state_cases(96))
+def test_each_basis_state_is_within_eps_of_its_cat_state(n, alpha, eps):
+    assert_each_state_drops_below_eps_of_its_cat_state(n, alpha, eps)
+
+
+@pytest.mark.parametrize("n,alpha,eps,dim", [
+    # the coherent state's total tail would give dim 64, 32 and 64, dropping
+    # 0.698, 0.9992 and 3.2e-6 of state 0
+    (64, 5.0, 1e-10, 73),
+    (32, 4.0, 1e-3, 38),
+    (64, 4.5, 1e-14, 71),
+    (3, 1.0, 1e-14, 17),  # the basis golden's input
+    (4, 2.0, 0.9, 5),  # past eps = 1/2 the head sums are compared
+    (8, 3.0, 0.6, 13),
+])
+def test_basis_dim_keeps_each_cat_state(n, alpha, eps, dim):
+    assert assert_each_state_drops_below_eps_of_its_cat_state(n, alpha, eps).dim == dim
+
+
 def test_basis_support_pattern():
     basis = kaleidoscope_basis(4, 1.5, 1e-14)
     levels = np.arange(basis.dim)
@@ -451,8 +496,10 @@ def test_annihilation_shifts_basis_index_down(n):
 
 
 def test_basis_shares_truncation_dim_from_alpha_magnitude():
+    # one dim for all n states, from |alpha| alone; class 1 needs one level more
+    # than the coherent state's total tail, truncation_dim(2.5, 1e-14) = 34
     basis = kaleidoscope_basis(3, 2.5j, 1e-14)
-    assert basis.dim == truncation_dim(2.5, 1e-14)
+    assert basis.dim == _class_dim(2.5, 1e-14, 3) == 35
 
 
 def test_basis_arrays_are_read_only():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 import re
 import time
 
@@ -311,6 +312,21 @@ def test_spec_validation():
         modexp_all(0, 1.0)
     with pytest.raises(ValueError, match="derivative order must be >= 0"):
         derivative_residue(ModExpSpec(3, 1), order=-1)
+
+
+def test_spec_is_a_checked_named_tuple():
+    # _make and _replace build through the constructor, so each checks (n, s)
+    spec = ModExpSpec(3, 1)
+    with pytest.raises(ValueError, match=re.escape("residue s must lie in [0, 3), got 3")):
+        spec._replace(s=3)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        ModExpSpec._make([0, 0])
+    assert spec._replace(s=2) == ModExpSpec._make([3, 2]) == (3, 2)
+    assert (repr(spec), spec.n, spec.s) == ("ModExpSpec(n=3, s=1)", 3, 1)
+    assert hash(spec) == hash((3, 1))
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    with pytest.raises(AttributeError):
+        spec.s = 2
 
 
 # Every integer argument in the package: a float, even an integral one, is no

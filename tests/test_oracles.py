@@ -35,6 +35,7 @@ ORACLE_CALLS = [
     (oracles.normalization_constants, (3, 2.0)),
     (oracles.coherent_amplitudes, (1 + 1j, 5)),
     (oracles.poisson_tail, (2.0, 3)),
+    (oracles.class_tails, (3, 2.0, 4)),
     (oracles.rotated_overlap_row, (4, 1 + 1j)),
     (oracles.cat_state, (3, 1 + 1j, 1, 8)),
 ]
@@ -115,6 +116,17 @@ def test_amplitudes_and_tail_share_the_poisson_weights(d):
     with mp.workdps(oracles.DPS + EXTRA):
         head = sum(abs(a) ** 2 for a in amplitudes)
         assert abs(head + oracles.poisson_tail(676.0, d) - 1) <= 2 * TOL
+
+
+@pytest.mark.parametrize("n,lam,dim", [(1, 676.0, 600), (3, 2.0, 0), (64, 25.0, 73),
+                                       (32, 16.0, 38)])
+def test_class_tails_partition_the_tail_and_start_at_the_weights(n, lam, dim):
+    # the class tails sum to the Poisson tail, and from level 0 they are the weights
+    tails = oracles.class_tails(n, lam, dim)
+    with mp.workdps(oracles.DPS + EXTRA):
+        assert relative_error(sum(tails), oracles.poisson_tail(lam, dim)) <= 2 * TOL
+        for tail, weight in zip(oracles.class_tails(n, lam, 0), oracles.class_weights(n, lam)):
+            assert relative_error(tail, weight) <= 2 * TOL
 
 
 @pytest.mark.parametrize("n", [1, 8, 64])
