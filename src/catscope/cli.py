@@ -22,10 +22,14 @@ in-class cells and one zero for the rest.  JSON and CSV go out a table row at
 a time, written as they are made; a CSV row is one list of slots, joined once.
 ``dumps_record`` writes every JSON record.
 
-Exit codes: 0 success, 1 tolerance failure (a ``gates`` residual,
-``overlap``'s closed form and Fock row disagreeing beyond their bound, or
-``lemma``'s direct sum missing n*delta, with the full record still written),
-2 usage or input error.
+Each ``cmd_<name>`` returns its payload and its checks, a tuple of
+``(gap, bound)`` pairs; a check passes when its gap is at most its bound.
+``main`` sets the exit code once: 0 when every check passes, 1 when a check's
+gap passed its bound (the full record is still written), 2 on a usage or
+input error.  The checks: ``basis``, each class weight of the truncated
+coherent state against ``1/(n*norm_constants[k])^2``, relative; ``overlap``,
+the closed form against the Fock row; ``lemma``, the direct root sum against
+n*delta; ``gates``, each residual against 1e-12; ``modexp`` has none.
 """
 
 import argparse
@@ -39,18 +43,19 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .fock import coherent_overlap_closed, truncation_dim
+from .fock import coherent_overlap_closed, coherent_state, truncation_dim
 from .gates import (clock_matrix, shift_matrix, unitarity_residual,
                     verify_clock_shift_decomposition, weyl_commutation)
 from .kaleidoscope import (KaleidoscopeBasis, dft_matrix, gram, kaleidoscope_basis,
                            roots_lemma_sum, rotated_coherent_states)
 from .modexp import ModExpSpec, _roots, modexp_roots, modexp_series
 
-GATES_TOLERANCE = 1e-12
-LEMMA_TOLERANCE = 1e-12
-# c in overlap's bound eps + c*u*(|alpha|^2 + dim); the largest c needed over
-# 40,445 seeded draws (n <= 1024, |alpha| <= 26.45, eps 1e-14 to 0.9) was 3.28
-_OVERLAP_ROUNDING = 16
+# the bound of each gates residual, and of a lemma sum whose terms are exact
+_TOLERANCE = 1e-12
+# c in _bound's eps + c*u*(|alpha|^2 + dim); over seeded draws (n <= 1024,
+# |alpha| <= 26.45, eps 1e-14 to 0.9) the largest c needed was 3.28 for overlap
+# (40,445 draws) and 0.97 for basis (27,166)
+_ROUNDING = 16
 # basis, overlap, gates hold n x max(n, dim) arrays; lemma, modexp length-n ones
 MAX_DENSE_N = 1024
 _JSON_COMPLEX = '{"re":%.17g,"im":%.17g}'
@@ -210,7 +215,17 @@ def _overlap_rows(params: dict, payload: dict):
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (payload, exit_code)
+# Command implementations: each returns (payload, checks), a check being a
+# (gap, bound) pair
+
+
+def _bound(eps: float, alpha: complex, dim: int) -> float:
+    """``eps`` for a dropped tail, plus c*u per level and per unit of |alpha|^2.
+
+    That is the rounding of a route over ``dim`` levels of amplitude ``alpha``
+    (Higham, ch. 3-4); ``overlap`` and ``basis`` check their gaps against it.
+    """
+    return eps + _ROUNDING * sys.float_info.epsilon * (abs(alpha) ** 2 + dim)
 
 
 def cmd_basis(n: int, alpha: complex, eps: float):
@@ -222,7 +237,12 @@ def cmd_basis(n: int, alpha: complex, eps: float):
         "norm_constants": basis.norm_constants.tolist(),
         "gram_max_deviation": report.max_deviation,
     }
-    return payload, 0
+    # the class weights the states were scaled by, truncated to dim, against the
+    # paper's 1/(n*norm_constants[k])^2 = exp(-|alpha|^2) f_k(|alpha|^2)
+    amps = coherent_state(alpha, basis.dim)
+    weights = np.bincount(np.arange(basis.dim) % n, np.abs(amps) ** 2, n)
+    gap = float(np.abs(weights * (n * basis.norm_constants) ** 2 - 1.0).max())
+    return payload, ((gap, _bound(eps, alpha, basis.dim)),)
 
 
 def cmd_modexp(n: int, s: int, x: complex):
@@ -230,7 +250,7 @@ def cmd_modexp(n: int, s: int, x: complex):
     series = complex(modexp_series(spec, x))
     roots = complex(modexp_roots(spec, x))
     payload = {"series": series, "roots": roots, "abs_difference": abs(series - roots)}
-    return payload, 0
+    return payload, ()
 
 
 def _lemma_tolerance(n: int, r: int) -> float:
@@ -238,16 +258,16 @@ def _lemma_tolerance(n: int, r: int) -> float:
     # off by at most about u*n*(1 + 1/|sin(pi r/n)|) (Higham, ch. 4); eps = 2u takes
     # that twice.  For r = 0 every term is exactly 1.
     bound = n * (1 + 1 / abs(math.sin(math.pi * r / n))) if r else 0.0
-    return max(LEMMA_TOLERANCE, np.finfo(float).eps * bound)
+    return max(_TOLERANCE, sys.float_info.epsilon * bound)
 
 
 def cmd_lemma(n: int, m: int, s: int):
     value = roots_lemma_sum(n, m, s)
     r = (m - s) % n
     expected = 0.0 if r else float(n)
-    matches = abs(value - expected) < _lemma_tolerance(n, r)
-    payload = {"sum": value, "expected": expected, "matches_delta": bool(matches)}
-    return payload, 0 if matches else 1
+    gap, bound = abs(value - expected), _lemma_tolerance(n, r)
+    payload = {"sum": value, "expected": expected, "matches_delta": gap <= bound}
+    return payload, ((gap, bound),)
 
 
 def cmd_gates(n: int):
@@ -261,9 +281,8 @@ def cmd_gates(n: int):
         "weyl_residual": weyl_residual,
         "weyl_root_residual": abs(phase ** n - 1.0),
     }
-    code = 0 if all(value < GATES_TOLERANCE for key, value in payload.items()
-                    if key != "weyl_phase") else 1
-    return payload, code
+    return payload, tuple((value, _TOLERANCE) for key, value in payload.items()
+                          if key != "weyl_phase")
 
 
 def cmd_overlap(n: int, alpha: complex, eps: float):
@@ -281,10 +300,8 @@ def cmd_overlap(n: int, alpha: complex, eps: float):
         "fock": _Circulant(fock),
         "max_abs_difference": max(map(math.hypot, d.real.tolist(), d.imag.tolist())),
     }
-    # the Fock row drops a tail below eps; each route rounds by a few u per level
-    # and per unit of |alpha|^2 (Higham, ch. 3-4)
-    bound = eps + _OVERLAP_ROUNDING * np.finfo(float).eps * (abs(alpha) ** 2 + dim)
-    return payload, 0 if payload["max_abs_difference"] <= bound else 1
+    # the Fock row drops a tail below eps
+    return payload, ((payload["max_abs_difference"], _bound(eps, alpha, dim)),)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +388,7 @@ def main(argv=None) -> int:
         if values["n"] > command.max_n:
             raise ValueError(f"n must be <= {command.max_n}, got {values['n']}")
         # by module attribute, so a replaced cmd_* is the one called
-        payload, code = globals()[f"cmd_{args.command}"](**values)
+        payload, checks = globals()[f"cmd_{args.command}"](**values)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -394,7 +411,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    # not all(<=), so a nan gap fails its check
+    return int(not all(gap <= bound for gap, bound in checks))
 
 
 def run() -> None:

@@ -508,6 +508,10 @@ def test_basis_n1_echoes_coherent_state():
     expected = coherent_state(1.0, record["payload"]["dim"])
     expected = expected / np.linalg.norm(expected)
     np.testing.assert_allclose(state, expected, atol=1e-13)
+    # the library's default eps is the CLI's
+    default = kaleidoscope_basis(1, 1.0)
+    assert default.tail_eps == cli._EPS[3] == 1e-14
+    assert default.dim == record["payload"]["dim"]
 
 
 def test_modexp_both_paths_report_cosh():
@@ -621,20 +625,17 @@ def test_lemma_verdict_holds_at_the_largest_n(r, capsys):
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["expected"] == 0 and payload["matches_delta"] is True
     # the verdict still tells a sum of 0 from one of n
-    assert cli.LEMMA_TOLERANCE <= cli._lemma_tolerance(n, r) < 1e-4 < n / 2
+    assert cli._TOLERANCE <= cli._lemma_tolerance(n, r) < 1e-4 < n / 2
 
 
 def test_lemma_tolerance_is_the_fixed_one_where_terms_are_exact():
-    assert cli._lemma_tolerance(2 ** 20, 0) == cli.LEMMA_TOLERANCE
-    assert all(cli._lemma_tolerance(4, r) == cli.LEMMA_TOLERANCE for r in range(4))
+    assert cli._lemma_tolerance(2 ** 20, 0) == cli._TOLERANCE
+    assert all(cli._lemma_tolerance(4, r) == cli._TOLERANCE for r in range(4))
 
 
 @pytest.mark.parametrize("output_format", ["json", "csv"])
 def test_lemma_exits_1_when_its_verdict_fails(output_format, monkeypatch):
-    # the benchmark grid's lemmas hold; a sum off by 1e-6 is far past the tolerance
-    for n in (2, 8, 32, 64):
-        for m in (1, 2, 3, 4):
-            assert run_cli("lemma", "--n", str(n), "--m", str(m), "--s", "0").returncode == 0
+    # a sum off by 1e-6 is far past the tolerance
     direct = cli.roots_lemma_sum
     monkeypatch.setattr(cli, "roots_lemma_sum", lambda n, m, s: direct(n, m, s) + 1e-6)
     proc = run_cli("lemma", "--n", "4", "--m", "2", "--s", "0", "--format", output_format)
@@ -671,7 +672,7 @@ def test_main_dispatches_through_module_attribute(monkeypatch, capsys):
     def fake_lemma(n, m, s):
         calls.append((n, m, s))
         return {"sum": {"re": 0.5, "im": 0.0}, "expected": 0.0,
-                "matches_delta": False}, 0
+                "matches_delta": False}, ()
 
     monkeypatch.setattr(cli, "cmd_lemma", fake_lemma)
     code = cli.main(["lemma", "--n", "4", "--m", "1", "--s", "0"])
@@ -714,7 +715,7 @@ def test_gates_exit_1_on_a_shift_with_one_wrong_entry(entry, monkeypatch, capsys
     assert cli.main(["gates", "--n", "3"]) == 1
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["unitarity_shift"] == gates.unitarity_residual(wrong_shift(3)) >= 0.5
-    assert payload["decomposition_residual"] < cli.GATES_TOLERANCE
+    assert payload["decomposition_residual"] < cli._TOLERANCE
 
 
 def test_overlap_diagonal_and_closed_form():
@@ -740,8 +741,8 @@ def test_overlap_discrepancy_small_within_radius_two(alpha):
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_overlap_closed_form_is_circulant(n, capsys):
     # cmd_overlap holds each table as its row 0; the writers lay out the n x n table
-    payload, code = cli.cmd_overlap(n, 0.7 + 0.2j, 1e-14)
-    assert code == 0
+    payload, ((gap, bound),) = cli.cmd_overlap(n, 0.7 + 0.2j, 1e-14)
+    assert gap <= bound
     closed, fock = payload["closed_form"].row, payload["fock"].row
     assert closed.shape == fock.shape == (n,)
     argv = ["overlap", "--n", str(n), "--alpha", "0.7+0.2i"]
@@ -809,8 +810,105 @@ def test_overlap_exits_1_when_its_two_routes_disagree(output_format, monkeypatch
        st.sampled_from([1e-14, 1e-10, 1e-6, 1e-3, 0.5, 0.9]))
 @example(1024, 26.45 + 0j, 1e-14)  # the largest dim and |alpha|^2
 def test_overlap_routes_agree_within_their_bound(n, alpha, eps):
-    payload, code = cli.cmd_overlap(n, alpha, eps)
-    assert code == 0, payload["max_abs_difference"]
+    _, ((gap, bound),) = cli.cmd_overlap(n, alpha, eps)
+    assert gap <= bound
+
+
+# --------------------------------------------------------------------- checks
+
+
+def _gates_gap(monkeypatch, gap):
+    monkeypatch.setattr(cli, "verify_clock_shift_decomposition", lambda n: gap)
+
+
+def _lemma_gap(monkeypatch, gap):  # the expected sum is 0 at r = 1
+    monkeypatch.setattr(cli, "roots_lemma_sum", lambda n, m, s: complex(gap))
+
+
+def _overlap_gap(monkeypatch, gap):
+    closed = cli.coherent_overlap_closed
+    monkeypatch.setattr(cli, "coherent_overlap_closed", lambda a, b: closed(a, b) + gap)
+
+
+def _basis_gap(monkeypatch, gap):  # every class weight off by a relative gap
+    build = cli.kaleidoscope_basis
+
+    def scaled(n, alpha, eps):
+        basis = build(n, alpha, eps)
+        return basis._replace(norm_constants=basis.norm_constants * math.sqrt(1 + gap))
+
+    monkeypatch.setattr(cli, "kaleidoscope_basis", scaled)
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_basis_exits_1_when_its_class_weights_miss_the_constants(output_format,
+                                                                 monkeypatch):
+    # the constants off by a relative 1e-9, far past eps + c*u*(|alpha|^2 + dim)
+    _basis_gap(monkeypatch, (1 + 1e-9) ** 2 - 1)
+    proc = run_cli("basis", "--n", "3", "--alpha", "1+0i", "--format", output_format)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    if output_format == "json":  # the full record is still written
+        payload = json.loads(proc.stdout)["payload"]
+        assert len(payload["states"]) == len(payload["norm_constants"]) == 3
+    else:
+        assert proc.stdout.count("\n") == 1 + 3 * 17
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 1024), st.floats(math.log(0.01), math.log(26.45)),
+       st.floats(-math.pi, math.pi), st.sampled_from([1e-14, 1e-10, 1e-6, 1e-3, 0.5, 0.9]))
+@example(1024, math.log(26.45), 0.0, 1e-14)  # the largest dim and |alpha|^2
+@example(166, math.log(2.153), -0.0234, 1e-14)  # the largest gap of 27,166 draws
+def test_basis_class_weights_agree_with_the_constants_within_their_bound(
+        n, log_radius, phase, eps):
+    try:
+        _, ((gap, bound),) = cli.cmd_basis(n, cmath.rect(math.exp(log_radius), phase), eps)
+    except DegenerateAlpha:
+        assume(False)
+    assert gap <= bound
+
+
+U = sys.float_info.epsilon
+# lemma's tolerance at n = 2^20, r = 1, where 1/|sin(pi r/n)| is largest
+LEMMA_BOUND = U * 2 ** 20 * (1 + 1 / math.sin(math.pi / 2 ** 20))
+
+
+def _rounding_bound(payload):  # overlap's and basis' at |alpha| = 26, eps = 1e-14
+    return 1e-14 + 16 * U * (26 ** 2 + payload["dim"])
+
+
+# Each verdict's argv, its bound as the README states it, and a way to set its
+# check's gap.  At |alpha| = 26 the rounding term is about 550 times eps.  The
+# unmodified gaps are below 0.002 of their bounds.
+VERDICTS = {
+    "gates": (["gates", "--n", "3"], lambda payload: 1e-12, _gates_gap),
+    "lemma": (["lemma", "--n", str(2 ** 20), "--m", "2", "--s", "1"],
+              lambda payload: LEMMA_BOUND, _lemma_gap),
+    "overlap": (["overlap", "--n", "4", "--alpha", "26", "--eps", "1e-14"],
+                _rounding_bound, _overlap_gap),
+    "basis": (["basis", "--n", "4", "--alpha", "26", "--eps", "1e-14"],
+              _rounding_bound, _basis_gap),
+}
+
+
+@pytest.mark.parametrize("factor,code", [(0.5, 0), (2.0, 1)])
+@pytest.mark.parametrize("command", list(VERDICTS))
+def test_each_check_passes_a_gap_at_half_its_bound_and_fails_one_at_twice(
+        command, factor, code, monkeypatch, capsys):
+    argv, documented, set_gap = VERDICTS[command]
+    run, returned = getattr(cli, f"cmd_{command}"), []
+    monkeypatch.setattr(cli, f"cmd_{command}",
+                        lambda **values: returned.append(run(**values)) or returned[-1])
+    assert cli.main(argv) == 0
+    (payload, checks), = returned
+    bound = checks[-1][1]
+    assert all(check_bound == pytest.approx(documented(payload), rel=1e-12)
+               for _, check_bound in checks)
+    set_gap(monkeypatch, factor * bound)
+    assert cli.main(argv) == code
+    assert max(gap for gap, _ in returned[-1][1]) == pytest.approx(factor * bound, rel=0.01)
+    out, err = capsys.readouterr()
+    assert out and err == ""
 
 
 # ----------------------------------------------------------- --out and --eps

@@ -234,7 +234,7 @@ def test_rotated_overlap_takes_constant_memory_in_n():
                                   rel=1e-15)
 
 
-@pytest.mark.parametrize("n", [2 ** 64, 2 ** 70])
+@pytest.mark.parametrize("n", [2 ** 63, 2 ** 64, 2 ** 70])
 @pytest.mark.parametrize("k,l", [(0, 1), (1, 0)])
 def test_rotated_overlap_rejects_n_past_int64_at_every_vertex_pair(n, k, l):
     # (l - k) mod n is 1 for one order and n - 1 for the other: n alone decides

@@ -398,14 +398,19 @@ def test_series_cap_is_an_explicit_error():
         modexp_all(2, 1e8)
 
 
-@pytest.mark.parametrize("radius", [714.5, 719.9])
-def test_range_bound_sits_above_every_evaluable_argument(radius):
+@pytest.mark.parametrize("radius", [714.5, 719.9, 720.5])
+def test_range_bound_sits_above_every_evaluable_argument(radius, monkeypatch):
     # |x| > 720 is rejected before the kernel runs; from |x| = 714.5 the kernel's
     # own terms are already past double range in every direction, so the bound
     # turns away no argument the kernel could evaluate
+    calls = []
+    terms = catscope.modexp._exp_terms
+    monkeypatch.setattr(catscope.modexp, "_exp_terms",
+                        lambda *args: calls.append(args) or terms(*args))
     for j in range(64):
         x = cmath.rect(radius, 2 * math.pi * j / 64)
         with pytest.raises(SeriesCapError, match=re.escape(str(_range_error(1, x)))):
             modexp_all(1, x)
+    assert bool(calls) == (radius < 720)  # past 720 nothing is allocated
     assert np.isfinite(modexp_all(1024, 713.9)).all()
 

@@ -1,12 +1,16 @@
-"""The benchmark's traced function names still resolve in the package."""
+"""The benchmark's traced function names still resolve in the package, and its
+grid points pass."""
 
 import importlib
 import importlib.util
+import random
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -40,3 +44,20 @@ def test_a_json_record_is_one_dumps_record_span_inside_main(capsys):
     spans = [span for span in tracer.spans if span[0] == "cli.dumps_record"]
     assert len(spans) == 1
     assert tracer.spans[spans[0][3]][0] == "cli.main"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_benchmark_grid_command_exits_0(seed, monkeypatch):
+    # a verdict that fires on a grid point fails that point in the benchmark;
+    # workloads.py imports tracing by its bare name, and its dataclass looks its
+    # module up in sys.modules
+    monkeypatch.setitem(sys.modules, "tracing", _tracing())
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, workloads)
+    spec.loader.exec_module(workloads)
+    argvs = [argv for point in workloads.grid_points(random.Random(seed), True)
+             for argv, _ in point.commands]
+    assert len(argvs) == 80
+    assert [argv for argv in argvs if workloads._call_main(argv)[0] != 0] == []
